@@ -17,10 +17,8 @@ from .channel import (
     ChannelParams,
     SamplingRateError,
     geometric_gain,
-    mean_received_amplitude,
     normalized_gain,
     transmit,
-    warp_frame,
 )
 from .core import (
     Color,
@@ -29,7 +27,6 @@ from .core import (
     as_bits,
     bits_to_symbols,
     level_table,
-    symbol_to_level,
     symbols_to_bits,
 )
 from .decoder import (
@@ -43,7 +40,6 @@ from .decoder import (
 )
 from .encoder import (
     CarrierTooShortError,
-    apply_level_to_frame,
     encode_stream,
     frame_payload,
     frames_needed,

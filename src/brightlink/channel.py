@@ -93,12 +93,7 @@ class ChannelParams:
     def __post_init__(self) -> None:
         if not math.isfinite(self.noise_sigma) or self.noise_sigma < 0.0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
-        matrix = np.asarray(self.affine, dtype=np.float64)
-        if matrix.shape != (3, 3):
-            raise ValueError(f"affine must be a 3x3 matrix, got shape {matrix.shape}")
-        if not np.all(np.isfinite(matrix)) or abs(np.linalg.det(matrix)) < 1e-12:
-            raise ValueError("affine must be finite and invertible")
-        object.__setattr__(self, "affine", matrix)
+        object.__setattr__(self, "affine", check_homography(self.affine, "affine"))
         if not math.isfinite(self.camera_fps) or self.camera_fps <= 0.0:
             raise ValueError(f"camera_fps must be positive, got {self.camera_fps}")
         if not isinstance(self.quantizer_bits, int) or not 1 <= self.quantizer_bits <= 30:
@@ -112,64 +107,51 @@ class SamplingRateError(ValueError):
     """Camera frame rate is too low to resolve the symbol stream."""
 
 
-def apply_homography(matrix: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Map Nx2 (x, y) points through a 3x3 homography."""
-    pts = np.asarray(points, dtype=np.float64)
-    ones = np.ones((pts.shape[0], 1))
-    projected = np.hstack([pts, ones]) @ np.asarray(matrix, dtype=np.float64).T
-    w = projected[:, 2:3]
-    if np.any(np.abs(w) < 1e-12):
-        raise ValueError("homography maps a point to infinity")
-    return projected[:, :2] / w
+def check_homography(matrix, name: str = "homography") -> np.ndarray:
+    """Return matrix as a 3x3 float64 array, refusing non-finite or singular ones."""
+    arr = np.asarray(matrix, dtype=np.float64)
+    if arr.shape != (3, 3):
+        raise ValueError(f"{name} must be a 3x3 matrix, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)) or abs(np.linalg.det(arr)) < 1e-12:
+        raise ValueError(f"{name} must be finite and not singular")
+    return arr
 
 
-def warp_frame(frame: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """Resample a frame through a forward homography (display -> sensor).
+def resampling_map(pull: np.ndarray, height: int,
+                   width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bilinear resampling of a height x width frame through a pull homography.
 
-    Every output pixel is pulled from the inverse-mapped source location by
-    bilinear interpolation; locations outside the source read as black. uint8
-    input yields uint8 output (rounded half up), float input stays float.
+    Output pixel (x, y) reads the source at pull @ (x, y, 1). Returns flat
+    source indices and weights, both of shape (4, height * width), one row per
+    bilinear corner; corners outside the source get weight 0, so pixels pulled
+    from outside read as black.
     """
-    arr = np.asarray(frame)
-    if arr.ndim != 3 or arr.shape[2] != 3:
-        raise ValueError(f"frame must have shape (h, w, 3), got {arr.shape}")
-    matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.shape != (3, 3):
-        raise ValueError(f"homography must be 3x3, got shape {matrix.shape}")
-    try:
-        inverse = np.linalg.inv(matrix)
-    except np.linalg.LinAlgError:
-        raise ValueError("homography is singular") from None
-    warped = _warp_unit(to_unit(arr), inverse)
-    if arr.dtype == np.uint8:
-        return np.floor(warped * 255.0 + 0.5).astype(np.uint8)
-    return warped.astype(arr.dtype, copy=False)
-
-
-def _warp_unit(unit: np.ndarray, inverse: np.ndarray) -> np.ndarray:
-    """Backward-map a unit-range float frame; out-of-bounds samples are zero."""
-    h, w = unit.shape[:2]
-    ys, xs = np.mgrid[0:h, 0:w]
+    ys, xs = np.mgrid[0:height, 0:width]
     dest = np.column_stack([xs.ravel().astype(np.float64),
-                            ys.ravel().astype(np.float64)])
-    src = apply_homography(inverse, dest)
-    sx, sy = src[:, 0], src[:, 1]
-
-    x0 = np.floor(sx).astype(np.int64)
-    y0 = np.floor(sy).astype(np.int64)
+                            ys.ravel().astype(np.float64),
+                            np.ones(height * width)])
+    projected = dest @ pull.T
+    w = projected[:, 2]
+    if np.any(np.abs(w) < 1e-12):
+        raise ValueError("homography maps a pixel to infinity")
+    sx = projected[:, 0] / w
+    sy = projected[:, 1] / w
+    x0 = np.floor(sx)
+    y0 = np.floor(sy)
     fx = sx - x0
     fy = sy - y0
+    x0 = x0.astype(np.int64)
+    y0 = y0.astype(np.int64)
 
-    out = np.zeros((h * w, unit.shape[2]), dtype=np.float64)
-    weights = ((1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy)
     corners = ((x0, y0), (x0 + 1, y0), (x0, y0 + 1), (x0 + 1, y0 + 1))
-    for weight, (cx, cy) in zip(weights, corners):
-        valid = (cx >= 0) & (cx < w) & (cy >= 0) & (cy < h)
-        if not np.any(valid):
-            continue
-        contrib = unit[cy[valid], cx[valid], :] * weight[valid, None]
-        out[valid] += contrib
-    return out.reshape(h, w, unit.shape[2])
+    weights = ((1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy)
+    index = np.empty((4, height * width), dtype=np.int64)
+    weight = np.empty((4, height * width), dtype=np.float64)
+    for k, ((cx, cy), wk) in enumerate(zip(corners, weights)):
+        valid = (cx >= 0) & (cx < width) & (cy >= 0) & (cy < height)
+        index[k] = np.where(valid, cy * width + cx, 0)
+        weight[k] = np.where(valid, wk, 0.0)
+    return index, weight
 
 
 def _frame_rng(seed: int, frame_index: int) -> np.random.Generator:
@@ -211,9 +193,11 @@ def transmit(frames: np.ndarray, display_fps: float, params: ChannelParams,
     src_index = np.minimum((capture_times * display_fps).astype(np.int64), n_in - 1)
 
     gain = normalized_gain(params.geometry)
-    inverse = np.linalg.inv(params.affine)
-    is_identity = np.allclose(params.affine / params.affine[2, 2], np.eye(3),
-                              atol=1e-12)
+    # An identity mapping resamples every pixel from itself; skip the map.
+    warp = None
+    if params.affine[2, 2] == 0.0 or not np.allclose(
+            params.affine / params.affine[2, 2], np.eye(3), atol=1e-12):
+        warp = resampling_map(np.linalg.inv(params.affine), *source.shape[1:3])
 
     captured = []
     # Capture times are monotonic, so one cached source frame is enough.
@@ -223,8 +207,13 @@ def transmit(frames: np.ndarray, display_fps: float, params: ChannelParams,
         idx = int(src_index[k])
         if idx != cached_idx:
             unit = to_unit(source[idx])
-            if not is_identity:
-                unit = _warp_unit(unit, inverse)
+            if warp is not None:
+                flat = unit.reshape(-1, 3)
+                index, weight = warp
+                out = flat[index[0]] * weight[0, :, None]
+                for corner in range(1, 4):
+                    out += flat[index[corner]] * weight[corner, :, None]
+                unit = out.reshape(unit.shape)
             cached_idx, cached_unit = idx, unit * gain
         observed = cached_unit
         if params.noise_sigma > 0.0:
@@ -234,9 +223,3 @@ def transmit(frames: np.ndarray, display_fps: float, params: ChannelParams,
         observed = np.clip(observed, 0.0, 1.0)
         captured.append(quantize_unit(observed, params.quantizer_bits))
     return np.stack(captured)
-
-
-def mean_received_amplitude(frames: np.ndarray, channel: int) -> float:
-    """Mean unit-range amplitude of one color plane over a captured clip."""
-    arr = validate_frames(frames)
-    return float(to_unit(arr)[:, :, :, int(channel)].mean())

@@ -153,31 +153,10 @@ def symbols_to_bits(symbols, params: ModulationParams) -> np.ndarray:
     return bits.reshape(-1).astype(np.uint8)
 
 
-def symbol_to_level(index: int, params: ModulationParams) -> float:
-    """Multiplicative brightness gain for one symbol index.
-
-    Index 0 leaves the frame untouched (gain 1); the top index m-1 applies the
-    full depth. Levels are evenly spaced in between.
-    """
-    if not 0 <= index < params.m:
-        raise ValueError(f"symbol index {index} out of range [0, {params.m})")
-    return 1.0 + params.depth * index / (params.m - 1)
-
-
 def level_table(params: ModulationParams) -> np.ndarray:
     """Gains for all m symbol indices in index order."""
     return 1.0 + params.depth * np.arange(params.m) / (params.m - 1)
 
-
-def validate_frame(frame: np.ndarray) -> np.ndarray:
-    """Check one HxWx3 frame (uint8, or float within [0, 1]) and return it."""
-    arr = np.asarray(frame)
-    if arr.ndim != 3 or arr.shape[2] != 3:
-        raise ValueError(f"frame must have shape (h, w, 3), got {arr.shape}")
-    if arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValueError(f"frame must be at least 1x1, got {arr.shape}")
-    _check_pixel_dtype(arr)
-    return arr
 
 def validate_frames(frames: np.ndarray) -> np.ndarray:
     """Check an NxHxWx3 frame sequence (uint8, or float within [0, 1])."""
@@ -188,18 +167,12 @@ def validate_frames(frames: np.ndarray) -> np.ndarray:
         raise ValueError("frame sequence must contain at least one frame")
     if arr.shape[1] < 1 or arr.shape[2] < 1:
         raise ValueError(f"frames must be at least 1x1, got {arr.shape}")
-    _check_pixel_dtype(arr)
-    return arr
-
-
-def _check_pixel_dtype(arr: np.ndarray) -> None:
-    if arr.dtype == np.uint8:
-        return
     if np.issubdtype(arr.dtype, np.floating):
-        if arr.size and (not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0):
+        if not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0:
             raise ValueError("float pixels must be finite and lie in [0, 1]")
-        return
-    raise ValueError(f"pixels must be uint8 or float in [0, 1], got dtype {arr.dtype}")
+    elif arr.dtype != np.uint8:
+        raise ValueError(f"pixels must be uint8 or float in [0, 1], got dtype {arr.dtype}")
+    return arr
 
 
 def to_unit(frames: np.ndarray) -> np.ndarray:

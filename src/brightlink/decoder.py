@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import _warp_unit
+from .channel import check_homography, identity_homography, resampling_map
 from .core import (
     Color,
     ModulationParams,
@@ -84,35 +84,24 @@ def extract_signal(frames: np.ndarray, homography: np.ndarray | None = None,
     default the whole frame is averaged.
     """
     arr = validate_frames(frames)
-    crop = None
-    if region is not None:
-        x, y, w, h = (int(v) for v in region)
-        if w < 1 or h < 1:
-            raise ValueError(f"region must have positive size, got {region}")
-        if x < 0 or y < 0 or y + h > arr.shape[1] or x + w > arr.shape[2]:
-            raise ValueError(f"region {region} falls outside frames of shape "
-                             f"{arr.shape[1:3]}")
-        crop = (x, y, w, h)
-    rectify = None
-    if homography is not None:
-        rectify = np.asarray(homography, dtype=np.float64)
-        if rectify.shape != (3, 3):
-            raise ValueError(f"homography must be 3x3, got shape {rectify.shape}")
-        if abs(np.linalg.det(rectify)) < 1e-12:
-            raise ValueError("homography is singular")
-        # An identity mapping resamples every pixel from itself; skip it.
-        if np.allclose(rectify / rectify[2, 2], np.eye(3), atol=1e-12):
-            rectify = None
-    values = np.empty(arr.shape[0], dtype=np.float64)
-    for k in range(arr.shape[0]):
-        unit = to_unit(arr[k])
-        if rectify is not None:
-            unit = _warp_unit(unit, rectify)
-        if crop is not None:
-            x, y, w, h = crop
-            unit = unit[y:y + h, x:x + w]
-        values[k] = unit[:, :, int(channel)].mean()
-    return SymbolSeries(values, sample_rate)
+    n, height, width = arr.shape[:3]
+    x, y, w, h = (0, 0, width, height) if region is None else (int(v) for v in region)
+    if w < 1 or h < 1:
+        raise ValueError(f"region must have positive size, got {region}")
+    if x < 0 or y < 0 or y + h > height or x + w > width:
+        raise ValueError(f"region {region} falls outside frames of shape "
+                         f"{arr.shape[1:3]}")
+    pull = identity_homography() if homography is None else check_homography(homography)
+    # Rectify, crop and mean are one fixed linear map: a weight per sensor pixel.
+    index, weight = (a.reshape(4, height, width)[:, y:y + h, x:x + w]
+                     for a in resampling_map(pull, height, width))
+    weights = np.bincount(index.ravel(), weight.ravel(),
+                          minlength=height * width) / (w * h)
+    # Blocks of a quarter million pixels bound the float copy on long clips.
+    step = max(1, (1 << 18) // weights.size)
+    values = [to_unit(arr[k:k + step, :, :, int(channel)]).reshape(-1, weights.size)
+              @ weights for k in range(0, n, step)]
+    return SymbolSeries(np.concatenate(values), sample_rate)
 
 
 def received_frames_per_symbol(params: ModulationParams, camera_fps: float) -> float:
@@ -214,20 +203,16 @@ def decide_symbols(series: SymbolSeries, sync: SyncResult, levels: LevelEstimate
                    params: ModulationParams) -> np.ndarray:
     """Threshold each symbol's central-window mean into a symbol index.
 
-    Values exactly on a threshold resolve to the higher symbol.
+    Every symbol with at least one captured central-window sample is decided,
+    so a capture that ends inside the last symbol still yields it. Values
+    exactly on a threshold resolve to the higher symbol.
     """
     values = series.values
-    r = sync.frames_per_symbol
-    n_symbols = int(math.floor((len(values) - sync.offset) / r))
-    decisions = np.empty(n_symbols, dtype=np.int64)
-    for s in range(n_symbols):
-        idx = _symbol_sample_indices(sync, s, len(values))
-        if idx.size == 0:
-            decisions[s] = 0
-            continue
-        mean = values[idx].mean()
-        decisions[s] = int(np.searchsorted(levels.thresholds, mean, side="right"))
-    return decisions
+    decisions = []
+    while (idx := _symbol_sample_indices(sync, len(decisions), len(values))).size:
+        decisions.append(np.searchsorted(levels.thresholds, values[idx].mean(),
+                                         side="right"))
+    return np.array(decisions, dtype=np.int64)
 
 
 def deframe(bits: np.ndarray, params: ModulationParams) -> tuple[np.ndarray, bool]:
@@ -244,7 +229,8 @@ def deframe(bits: np.ndarray, params: ModulationParams) -> tuple[np.ndarray, boo
         raise FramingError(f"bitstream of {bits.size} bits is shorter than the "
                            f"{header_end}-bit header")
     preamble_ok = bool(np.array_equal(bits[:expected_preamble.size], expected_preamble))
-    length = int(_bits_to_int(bits[expected_preamble.size:header_end]))
+    weights = 1 << np.arange(LENGTH_BITS - 1, -1, -1, dtype=np.int64)
+    length = int(bits[expected_preamble.size:header_end] @ weights)
     if bits.size < header_end + length + CRC_BITS:
         raise FramingError(f"header declares {length} payload bits but only "
                            f"{bits.size - header_end - CRC_BITS} are present")
@@ -252,13 +238,6 @@ def deframe(bits: np.ndarray, params: ModulationParams) -> tuple[np.ndarray, boo
     crc_field = bits[header_end + length:header_end + length + CRC_BITS]
     crc_ok = preamble_ok and bool(np.array_equal(crc_field, crc32_bits(payload)))
     return payload, crc_ok
-
-
-def _bits_to_int(bits: np.ndarray) -> int:
-    value = 0
-    for b in bits:
-        value = (value << 1) | int(b)
-    return value
 
 
 def bit_error_rate(decoded: np.ndarray, reference: np.ndarray) -> float:

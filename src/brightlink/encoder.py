@@ -79,27 +79,6 @@ def _int_to_bits(value: int, width: int) -> np.ndarray:
     return ((value >> shifts) & 1).astype(np.uint8)
 
 
-def apply_level_to_frame(frame: np.ndarray, level: float,
-                         params: ModulationParams) -> np.ndarray:
-    """Scale one color plane of a uint8 frame by the given gain.
-
-    The other planes are returned untouched. Scaled values are rounded half up
-    and clamped to 255.
-    """
-    arr = np.asarray(frame)
-    if arr.ndim != 3 or arr.shape[2] != 3:
-        raise ValueError(f"frame must have shape (h, w, 3), got {arr.shape}")
-    if arr.dtype != np.uint8:
-        raise ValueError(f"carrier frames must be uint8, got dtype {arr.dtype}")
-    if not 1.0 - 1e-12 <= level <= 1.0 + params.depth + 1e-12:
-        raise ValueError(f"level {level} outside the configured range "
-                         f"[1, {1.0 + params.depth}]")
-    out = arr.copy()
-    plane = arr[:, :, params.channel].astype(np.float64) * level
-    out[:, :, params.channel] = np.minimum(np.floor(plane + 0.5), 255.0).astype(np.uint8)
-    return out
-
-
 def frames_needed(payload_bit_count: int, params: ModulationParams) -> int:
     """Display frames required to carry a framed payload of the given size."""
     total_bits = PREAMBLE_SYMBOLS * params.bits_per_symbol + LENGTH_BITS \
@@ -112,7 +91,8 @@ def encode_stream(payload_bits, carrier: np.ndarray,
                   params: ModulationParams) -> np.ndarray:
     """Imprint a framed payload onto a uint8 carrier clip.
 
-    Each symbol holds its brightness level for symbol_duration_frames frames;
+    Each symbol scales the modulated plane by its level (rounded half up and
+    clamped to 255) for symbol_duration_frames frames; the other planes and
     carrier frames beyond the message are passed through unmodified.
     """
     payload = as_bits(payload_bits)
@@ -123,13 +103,14 @@ def encode_stream(payload_bits, carrier: np.ndarray,
     needed = symbols.size * params.symbol_duration_frames
     if frames.shape[0] < needed:
         raise CarrierTooShortError(needed, frames.shape[0])
-    levels = level_table(params)
+    # One lookup table per level: scale, round half up, clamp to 255.
+    luts = np.minimum(np.floor(level_table(params)[:, None] * np.arange(256.0) + 0.5),
+                      255.0).astype(np.uint8)
     out = frames.copy()
+    plane = out[:, :, :, params.channel]
+    d = params.symbol_duration_frames
     for i, symbol in enumerate(symbols):
-        start = i * params.symbol_duration_frames
-        stop = start + params.symbol_duration_frames
-        for j in range(start, stop):
-            out[j] = apply_level_to_frame(frames[j], levels[symbol], params)
+        plane[i * d:(i + 1) * d] = luts[symbol][plane[i * d:(i + 1) * d]]
     return out
 
 

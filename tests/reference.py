@@ -115,3 +115,26 @@ def nearest_level_index(value: float, levels) -> int:
             best = i
             best_dist = dist
     return best
+
+
+def bilinear_pull_reference(image: np.ndarray, pull) -> np.ndarray:
+    """Resample an HxWxC float image one pixel at a time.
+
+    Output pixel (x, y) reads the source at pull @ (x, y, 1) by bilinear
+    interpolation; corners outside the source read as black.
+    """
+    h, w = image.shape[:2]
+    out = np.zeros(image.shape, dtype=np.float64)
+    for y in range(h):
+        for x in range(w):
+            u, v, s = (pull[r][0] * x + pull[r][1] * y + pull[r][2] for r in range(3))
+            sx, sy = u / s, v / s
+            x0, y0 = math.floor(sx), math.floor(sy)
+            fx, fy = sx - x0, sy - y0
+            for cx, cy, weight in ((x0, y0, (1 - fx) * (1 - fy)),
+                                   (x0 + 1, y0, fx * (1 - fy)),
+                                   (x0, y0 + 1, (1 - fx) * fy),
+                                   (x0 + 1, y0 + 1, fx * fy)):
+                if 0 <= cx < w and 0 <= cy < h:
+                    out[y, x] += weight * image[cy, cx]
+    return out

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -9,17 +10,15 @@ from brightlink.channel import (
     ChannelGeometry,
     ChannelParams,
     SamplingRateError,
-    apply_homography,
     geometric_gain,
     identity_homography,
-    mean_received_amplitude,
     normalized_gain,
     transmit,
-    warp_frame,
 )
 from brightlink.core import Color
+from brightlink.decoder import extract_signal
 from brightlink.encoder import make_carrier
-from reference import surface_integrated_gain
+from reference import bilinear_pull_reference, surface_integrated_gain
 
 
 def translation(dx, dy):
@@ -98,30 +97,45 @@ class TestChannelParams:
             ChannelParams(**kwargs)
 
 
+def warp(frame, matrix):
+    """Capture one frame through a noiseless head-on channel with this homography."""
+    return transmit(frame[None], 30.0, ChannelParams(affine=matrix))[0]
+
+
 class TestHomography:
     def test_apply_known_points(self):
-        matrix = translation(2.0, -1.0)
-        out = apply_homography(matrix, [[0.0, 0.0], [3.0, 4.0]])
-        assert np.allclose(out, [[2.0, -1.0], [5.0, 3.0]])
+        # A (2, -1) translation moves source pixel (x, y) to (x + 2, y - 1).
+        frame = make_carrier("gradient", 16, 12, 1)[0]
+        out = warp(frame, translation(2.0, -1.0))
+        assert np.array_equal(out[0, 2], frame[1, 0])
+        assert np.array_equal(out[3, 5], frame[4, 3])
 
     def test_projective_row_divides(self):
-        matrix = identity_homography()
-        matrix[2, 2] = 2.0
-        assert np.allclose(apply_homography(matrix, [[4.0, 6.0]]), [[2.0, 3.0]])
+        # Scaling the whole matrix changes no projected point, so no pixel.
+        frame = np.random.default_rng(1).integers(0, 256, (12, 16, 3), dtype=np.uint8)
+        rotate = np.array([[0.96, -0.1, 2.2], [0.12, 0.97, -0.4], [0.002, 0.001, 1.0]])
+        for c in (2.0, -0.5):
+            assert np.array_equal(warp(frame, c * rotate), warp(frame, rotate))
+        assert np.array_equal(warp(frame, 2.0 * identity_homography()), frame)
 
     def test_point_at_infinity_raises(self):
-        matrix = identity_homography()
-        matrix[2] = [1.0, 0.0, 0.0]
+        # This pull homography sends row y = 1 of the output to w = 0.
+        pull = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, -1.0]])
+        frames = make_carrier("gradient", 8, 6, 1)
         with pytest.raises(ValueError, match="infinity"):
-            apply_homography(matrix, [[0.0, 5.0]])
+            transmit(frames, 30.0, ChannelParams(affine=np.linalg.inv(pull)))
+        with pytest.raises(ValueError, match="infinity"):
+            extract_signal(frames, homography=pull)
 
     def test_identity_warp_is_bit_exact(self):
         frame = make_carrier("gradient", 31, 17, 1)[0]
-        assert np.array_equal(warp_frame(frame, identity_homography()), frame)
+        assert np.array_equal(warp(frame, identity_homography()), frame)
+        assert np.array_equal(extract_signal(frame[None], homography=np.eye(3)).values,
+                              extract_signal(frame[None]).values)
 
     def test_integer_translation_shifts_content(self):
         frame = make_carrier("gradient", 16, 12, 1)[0]
-        out = warp_frame(frame, translation(3, 2))
+        out = warp(frame, translation(3, 2))
         assert np.array_equal(out[2:, 3:], frame[:-2, :-3])
         # Pixels pulled from outside the source read as black.
         assert not out[:2, :].any()
@@ -130,18 +144,15 @@ class TestHomography:
     def test_doubling_scale_samples_even_grid_exactly(self):
         frame = make_carrier("gradient", 16, 12, 1)[0]
         matrix = np.diag([2.0, 2.0, 1.0])
-        out = warp_frame(frame, matrix)
+        out = warp(frame, matrix)
         assert np.array_equal(out[0::2, 0::2], frame[:6, :8])
-
-    def test_float_frames_keep_dtype_and_range(self):
-        frame = np.linspace(0.0, 1.0, 60, dtype=np.float32).reshape(4, 5, 3)
-        out = warp_frame(frame, translation(0.5, 0.0))
-        assert out.dtype == np.float32
-        assert out.min() >= 0.0 and out.max() <= 1.0
 
     def test_singular_matrix_raises(self):
         with pytest.raises(ValueError, match="singular"):
-            warp_frame(np.zeros((2, 2, 3), dtype=np.uint8), np.zeros((3, 3)))
+            ChannelParams(affine=np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="singular"):
+            extract_signal(np.zeros((1, 2, 2, 3), dtype=np.uint8),
+                           homography=np.zeros((3, 3)))
 
 
 class TestTransmit:
@@ -225,11 +236,23 @@ class TestTransmit:
         assert np.array_equal(out[0][:, 4:], frames[0][:, :-4])
         assert not out[0][:, :4].any()
 
+    def test_perspective_warp_matches_bilinear_reference(self):
+        frames = np.random.default_rng(4).integers(0, 256, (1, 12, 16, 3), dtype=np.uint8)
+        affine = np.array([[0.94, 0.07, 1.1], [-0.05, 1.03, -0.6], [0.002, -0.0015, 1.0]])
+        out = transmit(frames, 30.0, ChannelParams(affine=affine, quantizer_bits=16))[0]
+        expected = bilinear_pull_reference(frames[0] / 255.0, np.linalg.inv(affine))
+        # A 16-bit sensor rounds to within half a step of the resampled value.
+        assert np.abs(out - expected).max() <= 0.5 / 65535 + 1e-9
+
+
+def mean_red(frames):
+    return float(extract_signal(frames, channel=Color.RED).values.mean())
+
 
 class TestMeanReceivedAmplitude:
     def test_flat_field_amplitude(self):
         frames = make_carrier("gray128", 8, 8, 3)
-        assert mean_received_amplitude(frames, Color.RED) == pytest.approx(128 / 255)
+        assert mean_red(frames) == pytest.approx(128 / 255)
 
     def test_inverse_square_ratios_on_fine_sensor(self):
         frames = make_carrier("gradient", 64, 48, 5)
@@ -237,8 +260,7 @@ class TestMeanReceivedAmplitude:
         for d in (1.0, 2.0, 4.0):
             params = ChannelParams(geometry=ChannelGeometry(distance_m=d),
                                    quantizer_bits=16)
-            amplitudes[d] = mean_received_amplitude(
-                transmit(frames, 30.0, params), Color.RED)
+            amplitudes[d] = mean_red(transmit(frames, 30.0, params))
         assert amplitudes[1.0] / amplitudes[2.0] == pytest.approx(4.0, rel=0.01)
         assert amplitudes[2.0] / amplitudes[4.0] == pytest.approx(4.0, rel=0.01)
 
@@ -248,10 +270,20 @@ class TestMeanReceivedAmplitude:
         amplitudes = []
         for d in distances:
             params = ChannelParams(geometry=ChannelGeometry(distance_m=d))
-            amplitudes.append(mean_received_amplitude(
-                transmit(frames, 30.0, params), Color.RED))
+            amplitudes.append(mean_red(transmit(frames, 30.0, params)))
         slope = np.polyfit(np.log10(distances), np.log10(amplitudes), 1)[0]
         assert slope == pytest.approx(-2.0, abs=0.05)
+
+
+def test_warped_noisy_capture_bytes_are_pinned():
+    # Any change to the warp, the gain, the per-frame noise keying, the
+    # resampling in time or the quantizer changes these bytes.
+    frames = np.random.default_rng(5).integers(0, 256, (6, 18, 24, 3), dtype=np.uint8)
+    affine = np.array([[0.95, 0.08, 1.3], [-0.06, 0.97, 0.7], [0.001, -0.0008, 1.0]])
+    params = ChannelParams(geometry=ChannelGeometry(distance_m=1.5), noise_sigma=0.01,
+                           affine=affine, camera_fps=24.0, rng_seed=3)
+    digest = hashlib.sha256(transmit(frames, 30.0, params).tobytes()).hexdigest()
+    assert digest == "f33f6b2055ca6f25127e3402717a7fa52b83cf87662f036575bcf84d063b9e13"
 
 
 @settings(max_examples=20, deadline=None)

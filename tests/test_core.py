@@ -12,10 +12,8 @@ from brightlink.core import (
     bits_to_symbols,
     level_table,
     quantize_unit,
-    symbol_to_level,
     symbols_to_bits,
     to_unit,
-    validate_frame,
     validate_frames,
 )
 
@@ -133,28 +131,18 @@ def test_bit_symbol_round_trip_property(bits, m_exp):
 
 def test_symbol_levels_are_evenly_spaced_within_depth():
     m4 = ModulationParams(m=4, depth=0.03)
-    levels = [symbol_to_level(i, m4) for i in range(4)]
-    assert levels == [1.0, 1.01, 1.02, 1.03]
-    assert np.allclose(level_table(m4), levels)
+    assert np.allclose(level_table(m4), [1.0, 1.01, 1.02, 1.03])
+    assert level_table(m4)[0] == 1.0
     ook = ModulationParams(m=2, depth=0.03)
-    assert symbol_to_level(0, ook) == 1.0
-    assert symbol_to_level(1, ook) == 1.03
-
-
-def test_symbol_to_level_rejects_out_of_range():
-    params = ModulationParams(m=2)
-    with pytest.raises(ValueError, match="out of range"):
-        symbol_to_level(2, params)
-    with pytest.raises(ValueError, match="out of range"):
-        symbol_to_level(-1, params)
+    assert level_table(ook).tolist() == [1.0, 1.03]
 
 
 class TestFrameValidation:
     def test_accepts_uint8_and_unit_floats(self):
         u8 = np.zeros((4, 6, 3), dtype=np.uint8)
-        assert validate_frame(u8) is not None
+        assert validate_frames(u8[None]) is not None
         unit = np.full((4, 6, 3), 0.25)
-        assert validate_frame(unit) is not None
+        assert validate_frames(unit[None]) is not None
         assert validate_frames(np.stack([u8, u8])) is not None
 
     @pytest.mark.parametrize("bad", [
@@ -168,7 +156,7 @@ class TestFrameValidation:
     ])
     def test_rejects_bad_frames(self, bad):
         with pytest.raises(ValueError):
-            validate_frame(bad)
+            validate_frames(bad[None])
 
     def test_rejects_bad_sequences(self):
         with pytest.raises(ValueError):

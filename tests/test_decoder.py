@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from brightlink.channel import ChannelGeometry, ChannelParams, identity_homography, transmit
+from brightlink.channel import (
+    ChannelGeometry,
+    ChannelParams,
+    SamplingRateError,
+    identity_homography,
+    transmit,
+)
 from brightlink.core import Color, ModulationParams, SymbolSeries, as_bits
 from brightlink.decoder import (
     DegenerateLevelsError,
@@ -23,7 +29,7 @@ from brightlink.decoder import (
     synchronize,
 )
 from brightlink.encoder import encode_stream, frame_payload, frames_needed, make_carrier
-from reference import nearest_level_index
+from reference import bilinear_pull_reference, nearest_level_index
 
 OOK = ModulationParams(m=2)
 
@@ -87,6 +93,19 @@ class TestExtractSignal:
         direct = extract_signal(base, region=(4, 0, 8, 12))
         rectified = extract_signal(shifted, homography=shift, region=(4, 0, 8, 12))
         assert rectified.values[0] == pytest.approx(direct.values[0], abs=1e-9)
+
+
+    def test_matches_per_frame_bilinear_reference(self):
+        # Rectify, crop and mean fold into one weight image; the sums run in
+        # another order than warping each frame, so allow float64 rounding.
+        frames = np.random.default_rng(2).integers(0, 256, (3, 12, 16, 3), dtype=np.uint8)
+        pull = [[0.97, -0.06, 1.4], [0.05, 0.95, -0.8], [0.0015, -0.001, 1.0]]
+        x, y, w, h = 2, 1, 11, 9
+        series = extract_signal(frames, homography=np.array(pull), region=(x, y, w, h),
+                                channel=Color.GREEN)
+        expected = [bilinear_pull_reference(frame / 255.0, pull)[y:y + h, x:x + w, 1].mean()
+                    for frame in frames]
+        np.testing.assert_allclose(series.values, expected, rtol=0.0, atol=1e-12)
 
 
 def test_received_frames_per_symbol():
@@ -313,6 +332,26 @@ class TestDecodeFrames:
         frames = make_carrier("gray128", 8, 8, 600)
         with pytest.raises(ValueError, match="singular"):
             decode_frames(frames, OOK, 30.0, homography=np.zeros((3, 3)))
+
+
+@pytest.mark.parametrize("frames_per_symbol", [3, 5, 6])
+@pytest.mark.parametrize("camera_fps", [30000 / 1001, 31.0, 24.0, 12.0, 45.0])
+def test_round_trip_across_camera_rates(camera_fps, frames_per_symbol):
+    # Non-integer capture/display ratios end the capture part-way through the
+    # last symbol; its central samples must still be decided.
+    payload = as_bits("1010101010101010")
+    params = ModulationParams(symbol_duration_frames=frames_per_symbol)
+    carrier = make_carrier("gradient", 32, 24, frames_needed(payload.size, params))
+    sent = encode_stream(payload, carrier, params)
+    channel = ChannelParams(noise_sigma=0.002, camera_fps=camera_fps, rng_seed=1)
+    if camera_fps < 2.0 * params.symbol_rate:
+        with pytest.raises(SamplingRateError):
+            transmit(sent, params.frame_rate, channel, symbol_rate=params.symbol_rate)
+        return
+    captured = transmit(sent, params.frame_rate, channel, symbol_rate=params.symbol_rate)
+    report = decode_frames(captured, params, camera_fps, reference_payload=payload)
+    assert report.crc_ok
+    assert np.array_equal(report.payload, payload)
 
 
 @settings(max_examples=10, deadline=None)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ from brightlink.encoder import (
     LENGTH_BITS,
     PREAMBLE_SYMBOLS,
     CarrierTooShortError,
-    apply_level_to_frame,
     bits_to_bytes,
     crc32_bits,
     encode_stream,
@@ -80,43 +81,54 @@ def test_frame_payload_empty_payload():
     assert int("".join(map(str, framed[16:48])), 2) == 0
 
 
+def symbol_frames(value, params, payload=""):
+    """Encode onto a flat carrier of one value, one frame per symbol."""
+    params = ModulationParams(m=params.m, depth=params.depth, channel=params.channel,
+                              symbol_duration_frames=1)
+    carrier = np.full((frames_needed(len(payload), params), 2, 3, 3), value,
+                      dtype=np.uint8)
+    return encode_stream(payload, carrier, params)
+
+
 class TestApplyLevel:
+    # The preamble starts with the top symbol (m - 1), then the bottom one (0).
     def test_rounds_half_up_and_leaves_other_planes(self):
-        frame = np.full((2, 3, 3), 128, dtype=np.uint8)
-        out = apply_level_to_frame(frame, 1.03, OOK)
+        out = symbol_frames(128, OOK)
         # 128 * 1.03 = 131.84, rounded half up to 132.
-        assert (out[:, :, 0] == 132).all()
-        assert (out[:, :, 1] == 128).all()
-        assert (out[:, :, 2] == 128).all()
-        assert (apply_level_to_frame(frame, 1.0, OOK) == frame).all()
+        assert (out[0, :, :, 0] == 132).all()
+        assert (out[:, :, :, 1:] == 128).all()
+        assert (out[1] == 128).all()
+        # 8 * 1.0625 = 8.5 exactly: half up gives 9 where round-half-even gives 8.
+        half = ModulationParams(m=2, depth=0.0625)
+        assert symbol_frames(8, half)[0, 0, 0].tolist() == [9, 8, 8]
 
     def test_four_level_alphabet_on_mid_gray(self):
-        frame = np.full((1, 1, 3), 128, dtype=np.uint8)
-        reds = [apply_level_to_frame(frame, 1.0 + 0.03 * i / 3, QASK)[0, 0, 0]
-                for i in range(4)]
-        assert reds == [128, 129, 131, 132]
+        # 16 preamble symbols and 16 length symbols precede the payload.
+        out = symbol_frames(128, QASK, payload="00011011")
+        assert out[32:36, 0, 0, 0].tolist() == [128, 129, 131, 132]
 
     def test_clamps_at_white(self):
-        frame = np.full((1, 1, 3), 250, dtype=np.uint8)
-        out = apply_level_to_frame(frame, 1.03, OOK)
-        assert out[0, 0, 0] == 255
+        out = symbol_frames(250, OOK)
+        assert out[0, 0, 0, 0] == 255
 
     def test_modulates_selected_plane_only(self):
         params = ModulationParams(channel=Color.BLUE)
-        frame = np.full((1, 1, 3), 100, dtype=np.uint8)
-        out = apply_level_to_frame(frame, 1.03, params)
-        assert out[0, 0].tolist() == [100, 100, 103]
-
-    def test_rejects_level_outside_configured_range(self):
-        frame = np.zeros((1, 1, 3), dtype=np.uint8)
-        with pytest.raises(ValueError, match="level"):
-            apply_level_to_frame(frame, 1.05, OOK)
-        with pytest.raises(ValueError, match="level"):
-            apply_level_to_frame(frame, 0.99, OOK)
+        out = symbol_frames(100, params)
+        assert out[0, 0, 0].tolist() == [100, 100, 103]
 
     def test_rejects_float_frames(self):
+        carrier = np.zeros((frames_needed(0, OOK), 2, 2, 3))
         with pytest.raises(ValueError, match="uint8"):
-            apply_level_to_frame(np.zeros((1, 1, 3)), 1.0, OOK)
+            encode_stream("", carrier, OOK)
+
+
+def test_four_level_encoding_bytes_are_pinned():
+    # Any change to framing, symbol mapping, levels or rounding changes these bytes.
+    m4 = ModulationParams(m=4, symbol_duration_frames=2)
+    carrier = make_carrier("gradient", 40, 30, frames_needed(16, m4) + 3)
+    frames = encode_stream("1011001110001111", carrier, m4)
+    digest = hashlib.sha256(frames.tobytes()).hexdigest()
+    assert digest == "df88bce442ae37b99df877716eabc7e3254882b32c553363a735bf27c6471ff0"
 
 
 def test_frames_needed_counts_the_framed_message():
