@@ -4,7 +4,6 @@ from .analysis import (
     BerModel,
     SweepResult,
     SweepRow,
-    conditional_error_probs,
     distance_sweep,
     fit_loglog_slope,
     monte_carlo_ber,

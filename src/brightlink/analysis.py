@@ -25,54 +25,32 @@ def q_function(x) -> np.ndarray | float:
 
 @dataclass(frozen=True)
 class BerModel:
-    """Binary decision model: two Gaussian amplitude clusters and a threshold.
-
-    p0/p1 are the prior symbol probabilities; threshold defaults to the
-    midpoint between the cluster means.
-    """
+    """Binary decision model: two equiprobable Gaussian amplitude clusters of
+    common deviation sigma, split at the midpoint threshold."""
 
     mu0: float
     mu1: float
-    sigma0: float
-    sigma1: float
-    p0: float = 0.5
-    p1: float = 0.5
-    threshold: float | None = None
+    sigma: float
 
     def __post_init__(self) -> None:
         if not self.mu1 > self.mu0:
             raise ValueError(f"mu1 ({self.mu1}) must exceed mu0 ({self.mu0})")
-        if self.sigma0 <= 0.0 or self.sigma1 <= 0.0:
-            raise ValueError("sigma0 and sigma1 must be positive, got "
-                             f"{self.sigma0}, {self.sigma1}")
-        if min(self.p0, self.p1) < 0.0 or not math.isclose(self.p0 + self.p1, 1.0,
-                                                           rel_tol=0.0, abs_tol=1e-9):
-            raise ValueError(f"priors must be nonnegative and sum to 1, got "
-                             f"p0={self.p0}, p1={self.p1}")
-        if self.threshold is None:
-            object.__setattr__(self, "threshold", (self.mu0 + self.mu1) / 2.0)
+        if self.sigma <= 0.0:
+            raise ValueError(f"sigma must be positive, got {self.sigma}")
+
+    @property
+    def threshold(self) -> float:
+        return (self.mu0 + self.mu1) / 2.0
 
     @classmethod
     def from_levels(cls, mu0: float, mu1: float, sigma: float) -> "BerModel":
-        """Equal-prior, equal-variance model straight from decoder estimates."""
-        return cls(mu0=mu0, mu1=mu1, sigma0=sigma, sigma1=sigma)
-
-
-def conditional_error_probs(model: BerModel) -> tuple[float, float]:
-    """(P(decide 1 | sent 0), P(decide 0 | sent 1)) for threshold detection."""
-    p10 = q_function((model.threshold - model.mu0) / model.sigma0)
-    p01 = q_function((model.mu1 - model.threshold) / model.sigma1)
-    return p10, p01
+        """Model straight from decoder estimates."""
+        return cls(mu0=mu0, mu1=mu1, sigma=sigma)
 
 
 def theoretical_ber(model: BerModel) -> float:
-    """Prior-weighted error probability of the threshold detector.
-
-    With equal priors, equal sigmas, and the midpoint threshold this reduces
-    to Q((mu1 - mu0) / (2 sigma)).
-    """
-    p10, p01 = conditional_error_probs(model)
-    return model.p0 * p10 + model.p1 * p01
+    """Error probability of the midpoint threshold detector, Q((mu1 - mu0) / (2 sigma))."""
+    return q_function((model.mu1 - model.mu0) / (2.0 * model.sigma))
 
 
 def monte_carlo_ber(model: BerModel, n_symbols: int, seed: int = 0) -> tuple[float, float]:
@@ -90,13 +68,12 @@ def monte_carlo_ber(model: BerModel, n_symbols: int, seed: int = 0) -> tuple[flo
     done = 0
     chunk_index = 0
     mu = np.array([model.mu0, model.mu1])
-    sigma = np.array([model.sigma0, model.sigma1])
     while done < n_symbols:
         n = min(_MC_CHUNK, n_symbols - done)
         key = np.array([seed, chunk_index], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
-        sent = (rng.random(n) < model.p1).astype(np.int64)
-        amplitude = mu[sent] + sigma[sent] * rng.standard_normal(n)
+        sent = (rng.random(n) < 0.5).astype(np.int64)
+        amplitude = mu[sent] + model.sigma * rng.standard_normal(n)
         decided = (amplitude >= model.threshold).astype(np.int64)
         errors += int(np.count_nonzero(decided != sent))
         done += n

@@ -195,8 +195,8 @@ def transmit(frames: np.ndarray, display_fps: float, params: ChannelParams,
     gain = normalized_gain(params.geometry)
     # An identity mapping resamples every pixel from itself; skip the map.
     warp = None
-    if params.affine[2, 2] == 0.0 or not np.allclose(
-            params.affine / params.affine[2, 2], np.eye(3), atol=1e-12):
+    if params.affine[2, 2] == 0.0 or not np.array_equal(
+            params.affine / params.affine[2, 2], np.eye(3)):
         warp = resampling_map(np.linalg.inv(params.affine), *source.shape[1:3])
 
     captured = []
@@ -220,6 +220,5 @@ def transmit(frames: np.ndarray, display_fps: float, params: ChannelParams,
             noise = _frame_rng(params.rng_seed, k).normal(
                 0.0, params.noise_sigma, size=observed.shape)
             observed = observed + noise
-        observed = np.clip(observed, 0.0, 1.0)
         captured.append(quantize_unit(observed, params.quantizer_bits))
     return np.stack(captured)

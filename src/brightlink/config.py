@@ -82,11 +82,6 @@ def _parse_bool(raw: str) -> bool:
         raise ValueError("expected true/false") from None
 
 
-def _parse_rate(raw: str) -> float:
-    # Rates accept decimals and exact rationals like 30000/1001.
-    return float(Fraction(raw))
-
-
 def _parse_matrix(raw: str) -> np.ndarray:
     parts = raw.split()
     if len(parts) != 9:
@@ -104,8 +99,9 @@ def _parse_region(raw: str) -> tuple[int, int, int, int]:
 def build_config(entries: dict[str, str]) -> RunConfig:
     """Assemble a RunConfig from parsed entries, applying defaults."""
     entries = dict(entries)
-    frame_rate_raw = entries.get("modulation.frame_rate", "30")
-    camera_fps_raw = entries.get("channel.camera_fps", "30")
+    # Rates accept decimals and exact rationals like 30000/1001.
+    display_fps = _take(entries, "modulation.frame_rate", Fraction, Fraction(30))
+    camera_fps = _take(entries, "channel.camera_fps", Fraction, Fraction(30))
     try:
         modulation = ModulationParams(
             m=_take(entries, "modulation.m", int, 2),
@@ -113,7 +109,7 @@ def build_config(entries: dict[str, str]) -> RunConfig:
                                          int, 6),
             depth=_take(entries, "modulation.depth", float, 0.03),
             channel=_take(entries, "modulation.channel", Color.parse, Color.RED),
-            frame_rate=_take(entries, "modulation.frame_rate", _parse_rate, 30.0),
+            frame_rate=float(display_fps),
             allow_visible_depth=_take(entries, "modulation.allow_visible_depth",
                                       _parse_bool, False),
         )
@@ -129,7 +125,7 @@ def build_config(entries: dict[str, str]) -> RunConfig:
             noise_sigma=_take(entries, "channel.noise_sigma", float, 0.0),
             affine=_take(entries, "channel.affine", _parse_matrix,
                          identity_homography()),
-            camera_fps=_take(entries, "channel.camera_fps", _parse_rate, 30.0),
+            camera_fps=float(camera_fps),
             quantizer_bits=_take(entries, "channel.quantizer_bits", int, 8),
             rng_seed=_take(entries, "channel.seed", int, 0),
         )
@@ -143,14 +139,6 @@ def build_config(entries: dict[str, str]) -> RunConfig:
     carrier_height = _take(entries, "carrier.height", int, 120)
     region = _take(entries, "decoder.region", _parse_region, None)
     reference = _take(entries, "decoder.reference_payload", Path, None)
-    rates = {}
-    for label, raw in (("modulation.frame_rate", frame_rate_raw),
-                       ("channel.camera_fps", camera_fps_raw)):
-        try:
-            rates[label] = Fraction(raw)
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(f"{label}: cannot parse {raw!r} as a rational "
-                              "rate") from None
     if entries:
         unknown = ", ".join(sorted(entries))
         raise ConfigError(f"unknown config keys: {unknown}")
@@ -158,8 +146,7 @@ def build_config(entries: dict[str, str]) -> RunConfig:
                      carrier_name=carrier_name, carrier_width=carrier_width,
                      carrier_height=carrier_height, region=region,
                      reference_payload=reference,
-                     display_fps=rates["modulation.frame_rate"],
-                     camera_fps=rates["channel.camera_fps"])
+                     display_fps=display_fps, camera_fps=camera_fps)
 
 
 def load_config(path) -> RunConfig:

@@ -135,12 +135,7 @@ def synchronize(series: SymbolSeries, params: ModulationParams,
     if t_norm == 0.0:
         raise SyncError("degenerate preamble template")
 
-    windows = np.lib.stride_tricks.sliding_window_view(values, template_len)
-    centered = windows - windows.mean(axis=1, keepdims=True)
-    w_norm = np.sqrt(np.sum(centered**2, axis=1))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        corr = (centered @ t_centered) / (w_norm * t_norm)
-    corr[~np.isfinite(corr)] = -np.inf
+    corr = _window_correlation(values, t_centered, t_norm)
 
     peak = float(corr.max())
     if peak < MIN_SYNC_CORRELATION:
@@ -151,20 +146,63 @@ def synchronize(series: SymbolSeries, params: ModulationParams,
     return SyncResult(offset=earliest, frames_per_symbol=r)
 
 
-def _symbol_sample_indices(sync: SyncResult, symbol: int, n_samples: int) -> np.ndarray:
-    """Capture-sample indices in the central half of one symbol period.
+def _window_correlation(values: np.ndarray, t_centered: np.ndarray,
+                        t_norm: float) -> np.ndarray:
+    """Pearson correlation of a zero-mean template with every trace window.
+
+    Window norms come from running sums of the mean-removed trace (Lewis,
+    "Fast Normalized Cross-Correlation", 1995): O(trace) memory. Windows with
+    no variance read -inf.
+    """
+    size = t_centered.size
+    x = values - values.mean()
+    running = [np.concatenate(([0.0], np.cumsum(p))) for p in (x, x * x)]
+    s1, s2 = (c[size:] - c[:-size] for c in running)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        w_norm = np.sqrt(s2 - s1 * s1 / size)
+        corr = np.correlate(x, t_centered, "valid") / (w_norm * t_norm)
+    corr[~np.isfinite(corr)] = -np.inf
+    return corr
+
+
+def _central_windows(sync: SyncResult, n_samples: int,
+                     n_symbols: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Start and stop sample of each symbol's central window, clipped to [0, n).
 
     Edge samples may straddle a display-frame boundary, so decisions use the
-    middle 50 percent. Falls back to the single nearest-center sample when the
-    window rounds to nothing.
+    middle 50 percent of each symbol period, or the nearest-center sample when
+    that rounds to nothing. By default the table ends with the first symbol
+    that starts past the end of the trace.
     """
     r = sync.frames_per_symbol
-    start = sync.offset + (symbol + 0.25) * r
-    stop = sync.offset + (symbol + 0.75) * r
-    indices = np.arange(math.ceil(start), math.ceil(stop))
-    if indices.size == 0:
-        indices = np.array([math.floor(sync.offset + (symbol + 0.5) * r)])
-    return indices[(indices >= 0) & (indices < n_samples)]
+    if n_symbols is None:
+        n_symbols = max(0, math.ceil((n_samples - sync.offset) / r)) + 1
+    symbol = np.arange(n_symbols)
+    start = np.ceil(sync.offset + (symbol + 0.25) * r)
+    stop = np.ceil(sync.offset + (symbol + 0.75) * r)
+    center = np.floor(sync.offset + (symbol + 0.5) * r)
+    empty = stop <= start
+    start = np.where(empty, center, start)
+    stop = np.where(empty, center + 1, stop)
+    return (np.clip(start, 0, n_samples).astype(np.int64),
+            np.clip(stop, 0, n_samples).astype(np.int64))
+
+
+def _window_means(values: np.ndarray, start: np.ndarray,
+                  stop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean of each non-empty window, and every sample's deviation from it.
+
+    Windows are the rows of a zero-padded matrix, whose row sums equal those
+    of the bare slices bit for bit unless window lengths straddle a multiple
+    of eight (numpy's pairwise-sum block).
+    """
+    counts = stop - start
+    column = np.arange(counts.max(initial=0))
+    inside = column < counts[:, None]
+    rows = np.where(inside, values[np.minimum(start[:, None] + column,
+                                              len(values) - 1)], 0.0)
+    means = rows.sum(axis=1) / counts
+    return means, (rows - means[:, None])[inside]
 
 
 def estimate_levels(series: SymbolSeries, sync: SyncResult,
@@ -176,21 +214,17 @@ def estimate_levels(series: SymbolSeries, sync: SyncResult,
     """
     values = series.values
     n_preamble = len(preamble_symbols(params))
-    means = np.empty(n_preamble)
-    residuals = []
-    for j in range(n_preamble):
-        idx = _symbol_sample_indices(sync, j, len(values))
-        if idx.size == 0:
-            raise DegenerateLevelsError(f"preamble symbol {j} has no samples")
-        samples = values[idx]
-        means[j] = samples.mean()
-        residuals.append(samples - means[j])
+    start, stop = _central_windows(sync, len(values), n_preamble)
+    counts = stop - start
+    if not counts.all():
+        raise DegenerateLevelsError(f"preamble symbol {np.argmin(counts)} has "
+                                    "no samples")
+    means, pooled = _window_means(values, start, stop)
     mu1 = float(means[0::2].mean())
     mu0 = float(means[1::2].mean())
     if not mu1 > mu0:
         raise DegenerateLevelsError(f"top amplitude {mu1:.6g} does not exceed "
                                     f"bottom amplitude {mu0:.6g}")
-    pooled = np.concatenate(residuals)
     dof = pooled.size - n_preamble
     sigma = float(np.sqrt(np.sum(pooled**2) / dof)) if dof > 0 else 0.0
     level_means = mu0 + (mu1 - mu0) * np.arange(params.m) / (params.m - 1)
@@ -203,16 +237,15 @@ def decide_symbols(series: SymbolSeries, sync: SyncResult, levels: LevelEstimate
                    params: ModulationParams) -> np.ndarray:
     """Threshold each symbol's central-window mean into a symbol index.
 
-    Every symbol with at least one captured central-window sample is decided,
-    so a capture that ends inside the last symbol still yields it. Values
-    exactly on a threshold resolve to the higher symbol.
+    Every symbol up to the first one without a captured central-window sample
+    is decided, so a capture that ends inside the last symbol still yields it.
+    Values exactly on a threshold resolve to the higher symbol.
     """
     values = series.values
-    decisions = []
-    while (idx := _symbol_sample_indices(sync, len(decisions), len(values))).size:
-        decisions.append(np.searchsorted(levels.thresholds, values[idx].mean(),
-                                         side="right"))
-    return np.array(decisions, dtype=np.int64)
+    start, stop = _central_windows(sync, len(values))
+    decided = int(np.argmin(stop > start))
+    means, _ = _window_means(values, start[:decided], stop[:decided])
+    return np.searchsorted(levels.thresholds, means, side="right")
 
 
 def deframe(bits: np.ndarray, params: ModulationParams) -> tuple[np.ndarray, bool]:

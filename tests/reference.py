@@ -138,3 +138,36 @@ def bilinear_pull_reference(image: np.ndarray, pull) -> np.ndarray:
                 if 0 <= cx < w and 0 <= cy < h:
                     out[y, x] += weight * image[cy, cx]
     return out
+
+
+def central_window_reference(offset: int, r: float, symbol: int,
+                             n_samples: int) -> np.ndarray:
+    """Sample indices in the middle half of one symbol period, one symbol at a time.
+
+    Indices run over [ceil(offset + (symbol + 1/4) r), ceil(offset + (symbol + 3/4) r));
+    an empty range falls back to the single sample floor(offset + (symbol + 1/2) r).
+    Indices outside the trace are dropped.
+    """
+    start = offset + (symbol + 0.25) * r
+    stop = offset + (symbol + 0.75) * r
+    indices = list(range(math.ceil(start), math.ceil(stop)))
+    if not indices:
+        indices = [math.floor(offset + (symbol + 0.5) * r)]
+    return np.array([i for i in indices if 0 <= i < n_samples], dtype=np.int64)
+
+
+def sliding_correlation_reference(values, template) -> np.ndarray:
+    """Pearson correlation of template against every window, one window at a time.
+
+    Windows without variance read -inf.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    t = np.asarray(template, dtype=np.float64) - np.mean(template)
+    size = t.size
+    corr = np.full(values.size - size + 1, -np.inf)
+    for k in range(corr.size):
+        window = values[k:k + size] - values[k:k + size].mean()
+        norm = math.sqrt(float(np.sum(window**2)) * float(np.sum(t**2)))
+        if norm > 0.0:
+            corr[k] = float(np.sum(window * t)) / norm
+    return corr

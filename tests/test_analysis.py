@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from brightlink.analysis import (
     BerModel,
-    conditional_error_probs,
     distance_sweep,
     fit_loglog_slope,
     monte_carlo_ber,
@@ -44,49 +43,27 @@ class TestQFunction:
 
 class TestBerModel:
     def test_default_threshold_is_midpoint(self):
-        model = BerModel(mu0=0.2, mu1=0.6, sigma0=0.1, sigma1=0.1)
+        model = BerModel(mu0=0.2, mu1=0.6, sigma=0.1)
         assert model.threshold == pytest.approx(0.4)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="mu1"):
-            BerModel(mu0=0.5, mu1=0.5, sigma0=0.1, sigma1=0.1)
+            BerModel(mu0=0.5, mu1=0.5, sigma=0.1)
         with pytest.raises(ValueError, match="sigma"):
-            BerModel(mu0=0.0, mu1=1.0, sigma0=0.0, sigma1=0.1)
-        with pytest.raises(ValueError, match="priors"):
-            BerModel(mu0=0.0, mu1=1.0, sigma0=0.1, sigma1=0.1, p0=0.6, p1=0.6)
+            BerModel(mu0=0.0, mu1=1.0, sigma=0.0)
 
     def test_from_levels(self):
         model = BerModel.from_levels(0.1, 0.3, 0.05)
-        assert model.sigma0 == model.sigma1 == 0.05
-        assert model.p0 == model.p1 == 0.5
+        assert model == BerModel(mu0=0.1, mu1=0.3, sigma=0.05)
+        assert model.threshold == pytest.approx(0.2)
 
 
 class TestTheoreticalBer:
     def test_symmetric_case_reduces_to_single_q(self):
-        # (mu1 - mu0) / (2 sigma) = 2, so both conditionals and the average
-        # equal Q(2).
-        model = BerModel(mu0=0.0, mu1=1.0, sigma0=0.25, sigma1=0.25)
-        p10, p01 = conditional_error_probs(model)
-        assert p10 == pytest.approx(Q_AT_2, abs=1e-15)
-        assert p01 == pytest.approx(Q_AT_2, abs=1e-15)
+        # (mu1 - mu0) / (2 sigma) = 2, so the error rate is Q(2).
+        model = BerModel(mu0=0.0, mu1=1.0, sigma=0.25)
         assert theoretical_ber(model) == pytest.approx(Q_AT_2, abs=1e-15)
-
-    def test_asymmetric_sigmas(self):
-        model = BerModel(mu0=0.0, mu1=3.0, sigma0=1.5, sigma1=3.0,
-                         threshold=1.5)
-        p10, p01 = conditional_error_probs(model)
-        assert p10 == pytest.approx(q_reference(1.0), abs=1e-12)
-        assert p01 == pytest.approx(q_reference(0.5), abs=1e-12)
-
-    def test_prior_weighting(self):
-        model = BerModel(mu0=0.0, mu1=1.0, sigma0=0.25, sigma1=0.25,
-                         p0=0.9, p1=0.1)
-        assert theoretical_ber(model) == pytest.approx(Q_AT_2, abs=1e-15)
-        shifted = BerModel(mu0=0.0, mu1=1.0, sigma0=0.25, sigma1=0.25,
-                           p0=0.9, p1=0.1, threshold=0.25)
-        p10, p01 = conditional_error_probs(shifted)
-        assert theoretical_ber(shifted) == pytest.approx(0.9 * p10 + 0.1 * p01,
-                                                         abs=1e-15)
+        assert theoretical_ber(model) == pytest.approx(q_reference(2.0), abs=1e-12)
 
     @given(margin=st.floats(0.2, 4.0), mu0=st.floats(-1.0, 1.0),
            sigma=st.floats(0.01, 2.0))

@@ -244,6 +244,17 @@ class TestTransmit:
         # A 16-bit sensor rounds to within half a step of the resampled value.
         assert np.abs(out - expected).max() <= 0.5 / 65535 + 1e-9
 
+    def test_near_identity_affine_is_still_warped(self):
+        # A scale within np.allclose's default tolerance of the identity is a
+        # real warp; extract_signal rectifies by it, so transmit must apply it.
+        frames = np.random.default_rng(6).integers(0, 256, (1, 12, 16, 3), dtype=np.uint8)
+        affine = np.diag([1.0 + 8e-6, 1.0, 1.0])
+        out = transmit(frames, 30.0, ChannelParams(affine=affine, quantizer_bits=16))[0]
+        plain = transmit(frames, 30.0, ChannelParams(quantizer_bits=16))[0]
+        assert not np.array_equal(out, plain)
+        expected = bilinear_pull_reference(frames[0] / 255.0, np.linalg.inv(affine))
+        assert np.abs(out - expected).max() <= 0.5 / 65535 + 1e-9
+
 
 def mean_red(frames):
     return float(extract_signal(frames, channel=Color.RED).values.mean())

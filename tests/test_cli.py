@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,29 @@ def parse_report(path):
         key, value = line.split(" = ", 1)
         entries[key] = value
     return entries
+
+
+WARPED_M4_CFG = """
+modulation.m = 4
+modulation.symbol_duration_frames = 3
+channel.noise_sigma = 0.003
+channel.affine = 0.95 -0.066 2.7  0.066 0.95 -0.35  0.0002 -0.0001 1
+channel.seed = 3
+carrier.width = 64
+carrier.height = 48
+decoder.region = 8 6 48 36
+"""
+
+NTSC_M8_CFG = """
+modulation.m = 8
+modulation.symbol_duration_frames = 5
+modulation.depth = 0.09
+channel.camera_fps = 30000/1001
+channel.noise_sigma = 0.001
+channel.seed = 9
+carrier.width = 48
+carrier.height = 36
+"""
 
 
 class TestLinkRoundTrip:
@@ -230,3 +255,20 @@ class TestBerCommand:
     def test_rejects_bad_q(self, tmp_path):
         assert main(["ber", "--q", "0"]) == EXIT_USAGE
         assert main(["ber", "--q", "abc"]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize("text, report_digest, csv_digest", [
+    (WARPED_M4_CFG, "c7ba1ce3e95c021c1e84da6b4a1cf52dc887439d7877d369a25a7aa31accc19f",
+     "4190dd9d50ea1d305f95daf5f1076d58ba7fdefa0bc4a147278616a049aaabaf"),
+    (NTSC_M8_CFG, "b7902d50e32bc09c27884f80b29882451d8d20e2157b8722b587466db34b5030",
+     "14c457fa7e336af3352b456e97d188e45994cb4b78df3ed36a6ef61399e45615"),
+], ids=["warped_m4", "ntsc_m8"])
+def test_decode_artifacts_are_pinned(tmp_path, text, report_digest, csv_digest):
+    # Any change to sync, level estimation, decisions or the printed report
+    # changes these bytes.
+    cfg = tmp_path / "link.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    code, _, _, report, csv = run_link(tmp_path, cfg, payload="110100111000101101011001")
+    assert code == EXIT_OK
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == report_digest
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == csv_digest

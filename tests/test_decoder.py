@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from brightlink.channel import (
 )
 from brightlink.core import Color, ModulationParams, SymbolSeries, as_bits
 from brightlink.decoder import (
+    MIN_SYNC_CORRELATION,
+    SYNC_PEAK_TOLERANCE,
     DegenerateLevelsError,
     FramingError,
     LevelEstimate,
@@ -27,9 +30,16 @@ from brightlink.decoder import (
     extract_signal,
     received_frames_per_symbol,
     synchronize,
+    _central_windows,
+    _window_correlation,
 )
 from brightlink.encoder import encode_stream, frame_payload, frames_needed, make_carrier
-from reference import bilinear_pull_reference, nearest_level_index
+from reference import (
+    bilinear_pull_reference,
+    central_window_reference,
+    nearest_level_index,
+    sliding_correlation_reference,
+)
 
 OOK = ModulationParams(m=2)
 
@@ -366,3 +376,131 @@ def test_random_payload_round_trip(payload, m_exp):
     report = decode_frames(captured, params, 30.0, reference_payload=bits)
     assert report.crc_ok
     assert np.array_equal(report.payload, bits)
+
+
+# Frames per symbol from 1 to 20, plus the NTSC ratio 6000/1001 (6 at 29.97 fps).
+RATES = st.one_of(st.floats(1.0, 20.0), st.just(6000 / 1001))
+
+
+def link_trace(r, lead_in, payload_symbols, m, tail, noise, seed):
+    """Amplitude trace of a lead-in, the alternating preamble and a payload.
+
+    Sample i is centered at time (i + 0.5) capture periods, so it carries
+    symbol floor((i - lead_in + 0.5) / r); samples outside every symbol read
+    the bottom level. tail samples follow the last symbol (negative cuts it).
+    """
+    levels = 0.3 + 0.4 * np.arange(m) / (m - 1)
+    symbols = np.concatenate([np.tile([m - 1, 0], 8), payload_symbols]).astype(int)
+    n = max(1, lead_in + math.ceil(symbols.size * r) + tail)
+    index = np.floor((np.arange(n) - lead_in + 0.5) / r).astype(int)
+    inside = (index >= 0) & (index < symbols.size)
+    values = np.where(inside, levels[symbols[np.where(inside, index, 0)]], levels[0])
+    values = values + np.random.default_rng(seed).normal(0.0, noise, n)
+    return SymbolSeries(values, sample_rate=30.0)
+
+
+@st.composite
+def links(draw):
+    """(frames per symbol, lead-in, trace) of a noisy 4-level link."""
+    r = draw(RATES)
+    lead_in = draw(st.integers(0, 40))
+    payload = np.array(draw(st.lists(st.integers(0, 3), max_size=20)), dtype=int)
+    series = link_trace(r, lead_in, payload, 4, tail=draw(st.integers(-20, 30)),
+                        noise=draw(st.floats(0.0, 0.05)),
+                        seed=draw(st.integers(0, 2**32 - 1)))
+    return r, lead_in, series
+
+
+class TestWholeTraceReceiver:
+    """The whole-trace receiver against per-symbol and per-window oracles."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(r=RATES, offset=st.integers(-30, 60), n_samples=st.integers(0, 400))
+    def test_central_windows_match_reference(self, r, offset, n_samples):
+        sync = SyncResult(offset=offset, frames_per_symbol=r)
+        for n_symbols in (None, 16):
+            start, stop = _central_windows(sync, n_samples, n_symbols)
+            for j in range(start.size):
+                assert np.array_equal(np.arange(start[j], stop[j]),
+                                      central_window_reference(offset, r, j, n_samples))
+        # By default the table runs through the first symbol that starts past
+        # the end of the trace.
+        start, stop = _central_windows(sync, n_samples)
+        assert stop[-1] == start[-1]
+        assert central_window_reference(offset, r, start.size, n_samples).size == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(link=links())
+    def test_levels_and_decisions_match_reference(self, link):
+        r, lead_in, series = link
+        qask = ModulationParams(m=4)
+        values = series.values
+        sync = SyncResult(offset=lead_in, frames_per_symbol=r)
+        windows = [central_window_reference(lead_in, r, j, values.size)
+                   for j in range(16)]
+        if any(w.size == 0 for w in windows):
+            with pytest.raises(DegenerateLevelsError, match="no samples"):
+                estimate_levels(series, sync, qask)
+            return
+        means = [values[w].mean() for w in windows]
+        mu1, mu0 = np.mean(means[0::2]), np.mean(means[1::2])
+        if not mu1 > mu0:
+            with pytest.raises(DegenerateLevelsError):
+                estimate_levels(series, sync, qask)
+            return
+        pooled = np.concatenate([values[w] - mean for w, mean in zip(windows, means)])
+        dof = pooled.size - 16
+        sigma = math.sqrt(np.sum(pooled**2) / dof) if dof > 0 else 0.0
+        levels = estimate_levels(series, sync, qask)
+        assert levels.mu0 == pytest.approx(mu0, rel=0.0, abs=1e-12)
+        assert levels.mu1 == pytest.approx(mu1, rel=0.0, abs=1e-12)
+        assert levels.sigma == pytest.approx(sigma, rel=0.0, abs=1e-12)
+
+        expected = []
+        while (w := central_window_reference(lead_in, r, len(expected), values.size)).size:
+            expected.append(sum(t <= values[w].mean() for t in levels.thresholds))
+        assert decide_symbols(series, sync, levels, qask).tolist() == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(link=links())
+    def test_sync_matches_sliding_window_reference(self, link):
+        r, _, series = link
+        params = ModulationParams(m=4, frame_rate=30.0, symbol_duration_frames=1)
+        camera_fps = 30.0 * r
+        r = received_frames_per_symbol(params, camera_fps)
+        size = math.ceil(16 * r)
+        if series.values.size < size:
+            with pytest.raises(SyncError, match="shorter"):
+                synchronize(series, params, camera_fps)
+            return
+        symbol_of = np.floor((np.arange(size) + 0.5) / r).astype(int)
+        template = np.where(symbol_of % 2 == 0, 1.0, -1.0)
+        corr = sliding_correlation_reference(series.values, template)
+        peak = corr.max()
+        t_centered = template - template.mean()
+        fast = _window_correlation(series.values, t_centered,
+                                   float(np.sqrt(np.sum(t_centered**2))))
+        if peak < MIN_SYNC_CORRELATION:
+            with pytest.raises(SyncError, match="correlation"):
+                synchronize(series, params, camera_fps)
+            return
+        assert fast.max() == pytest.approx(peak, rel=0.0, abs=1e-9)
+        cutoff = max(MIN_SYNC_CORRELATION, peak - SYNC_PEAK_TOLERANCE)
+        expected = int(np.flatnonzero(corr >= cutoff)[0])
+        assert synchronize(series, params, camera_fps).offset == expected
+
+    def test_sync_memory_is_linear_in_the_trace(self):
+        # 50,000 samples at 6 frames per symbol: a 96-sample template. An
+        # n x 96 float window matrix alone would take 38 MB.
+        rng = np.random.default_rng(3)
+        series = link_trace(6.0, 100, rng.integers(0, 2, 8300), 2, tail=4, noise=0.01,
+                            seed=4)
+        assert len(series) == 50_000
+        tracemalloc.start()
+        try:
+            sync = synchronize(series, OOK, camera_fps=30.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sync.offset == 100
+        assert peak < 8e6
