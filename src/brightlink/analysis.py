@@ -10,7 +10,7 @@ from scipy.special import erfc
 
 from .channel import ChannelParams, transmit
 from .core import ModulationParams, as_bits
-from .decoder import decode_frames
+from .decoder import central_windows, decode_frames
 from .encoder import encode_stream
 
 MC_MIN_SYMBOLS = 10_000
@@ -155,13 +155,15 @@ def distance_sweep(distances, payload_bits, carrier: np.ndarray,
 def _decision_error_estimate(report) -> float:
     """Q-model error rate using the decoder's level and noise estimates.
 
-    Decisions average the central samples of each symbol, so the effective
-    sigma is the per-sample estimate shrunk by sqrt(samples per decision).
+    A decision averages the n samples of its symbol's central window, so it
+    errs with Q((mu1 - mu0) sqrt(n) / (2 sigma)). The mean over the decided
+    symbols weights one term per distinct n, which keeps a uniform n exact.
     A zero sigma estimate means a noiseless run, hence zero predicted errors.
     """
     levels = report.levels
     if levels.sigma == 0.0:
         return 0.0
-    n_central = max(1.0, math.floor(report.sync.frames_per_symbol / 2.0))
-    sigma_decision = levels.sigma / math.sqrt(n_central)
-    return float(q_function((levels.mu1 - levels.mu0) / (2.0 * sigma_decision)))
+    start, stop = central_windows(report.sync, len(report.series), len(report.symbols))
+    n_central, n_symbols = np.unique(stop - start, return_counts=True)
+    pe = q_function((levels.mu1 - levels.mu0) / (2.0 * levels.sigma / np.sqrt(n_central)))
+    return float(np.sum(pe * (n_symbols / n_symbols.sum())))

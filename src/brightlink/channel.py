@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy import sparse
 
 from .core import quantize_unit, to_unit, validate_frames
 
@@ -154,22 +155,15 @@ def resampling_map(pull: np.ndarray, height: int,
     return index, weight
 
 
-def _frame_rng(seed: int, frame_index: int) -> np.random.Generator:
-    # Counter-style keying: one independent stream per (seed, frame), so any
-    # frame's noise can be reproduced without generating its predecessors.
-    # The key must be built as uint64 or large seeds round through float64.
-    key = np.array([seed, frame_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def transmit(frames: np.ndarray, display_fps: float, params: ChannelParams,
              symbol_rate: float | None = None) -> np.ndarray:
     """Push a display clip through the optical channel to sensor frames.
 
-    Stages per captured frame: pick the display frame shown at the capture
-    instant (nearest in time), warp it through the homography, scale by the
-    normalized geometric gain, add white Gaussian noise, clamp to [0, 1], and
-    quantize to the sensor bit depth.
+    Each capture is the display frame shown at its instant (nearest in time),
+    warped through the homography, scaled by the normalized geometric gain,
+    plus white Gaussian noise keyed by (seed, capture index), quantized to the
+    sensor bit depth. The warp is one sparse operator per call, applied to
+    blocks of captures: one product for the display frames a block shows.
 
     Passing symbol_rate enables the sampling guard: the camera must run at
     twice the symbol rate or faster, otherwise captures can miss symbols
@@ -186,39 +180,33 @@ def transmit(frames: np.ndarray, display_fps: float, params: ChannelParams,
                 f"camera_fps {params.camera_fps} is below twice the symbol rate "
                 f"{symbol_rate}; raise the camera rate or slow the symbols")
 
-    n_in = source.shape[0]
-    duration = n_in / display_fps
-    n_out = max(1, round(duration * params.camera_fps))
+    n_in, height, width = source.shape[:3]
+    n_out = max(1, round(n_in / display_fps * params.camera_fps))
     capture_times = (np.arange(n_out) + 0.5) / params.camera_fps
     src_index = np.minimum((capture_times * display_fps).astype(np.int64), n_in - 1)
 
     gain = normalized_gain(params.geometry)
-    # An identity mapping resamples every pixel from itself; skip the map.
-    warp = None
-    if params.affine[2, 2] == 0.0 or not np.array_equal(
-            params.affine / params.affine[2, 2], np.eye(3)):
-        warp = resampling_map(np.linalg.inv(params.affine), *source.shape[1:3])
+    # Each row keeps its 4 corners in order, zero weights included, so a pixel
+    # sums its products in corner order and weights (1, 0, 0, 0) copy it exactly.
+    index, weight = resampling_map(np.linalg.inv(params.affine), height, width)
+    n_pix = height * width
+    warp = sparse.csr_array((weight.T.ravel(), index.T.ravel(),
+                             np.arange(0, 4 * n_pix + 1, 4)), shape=(n_pix, n_pix))
 
-    captured = []
-    # Capture times are monotonic, so one cached source frame is enough.
-    cached_idx = -1
-    cached_unit = None
-    for k in range(n_out):
-        idx = int(src_index[k])
-        if idx != cached_idx:
-            unit = to_unit(source[idx])
-            if warp is not None:
-                flat = unit.reshape(-1, 3)
-                index, weight = warp
-                out = flat[index[0]] * weight[0, :, None]
-                for corner in range(1, 4):
-                    out += flat[index[corner]] * weight[corner, :, None]
-                unit = out.reshape(unit.shape)
-            cached_idx, cached_unit = idx, unit * gain
-        observed = cached_unit
+    captured = np.empty((n_out, height, width, 3),
+                        dtype=np.uint8 if params.quantizer_bits == 8 else np.float32)
+    # Blocks of about 2^16 values bound the float copies on long clips.
+    step = max(1, (1 << 16) // (3 * n_pix))
+    for start in range(0, n_out, step):
+        shown, capture_of = np.unique(src_index[start:start + step], return_inverse=True)
+        unit = to_unit(source[shown].transpose(1, 2, 0, 3).reshape(n_pix, -1))
+        warped = ((warp @ unit) * gain).reshape(height, width, -1, 3).transpose(2, 0, 1, 3)
+        observed = warped[capture_of]
         if params.noise_sigma > 0.0:
-            noise = _frame_rng(params.rng_seed, k).normal(
-                0.0, params.noise_sigma, size=observed.shape)
-            observed = observed + noise
-        captured.append(quantize_unit(observed, params.quantizer_bits))
-    return np.stack(captured)
+            for j, frame in enumerate(observed):
+                # One Philox stream per (seed, capture); a uint64 key keeps big seeds exact.
+                key = np.array([params.rng_seed, start + j], dtype=np.uint64)
+                frame += np.random.Generator(np.random.Philox(key=key)).normal(
+                    0.0, params.noise_sigma, size=frame.shape)
+        captured[start:start + step] = quantize_unit(observed, params.quantizer_bits)
+    return captured

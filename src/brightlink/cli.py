@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
+    MC_MIN_SYMBOLS,
     BerModel,
     distance_sweep,
     monte_carlo_ber,
@@ -182,6 +183,8 @@ def cmd_ber(args) -> int:
                           "comma-separated numbers") from None
     if not q_points or any(q <= 0 or not math.isfinite(q) for q in q_points):
         raise ConfigError("q values must be positive numbers")
+    if args.symbols < MC_MIN_SYMBOLS:
+        raise ConfigError(f"--symbols must be at least {MC_MIN_SYMBOLS}, got {args.symbols}")
     lines = ["q,pe_theory,pe_mc,ci_halfwidth"]
     for q in q_points:
         # Unit swing with sigma = 1/(2q) puts the decision margin exactly at q.

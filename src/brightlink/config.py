@@ -71,7 +71,7 @@ def _take(entries: dict[str, str], key: str, parse, default):
         return parse(raw)
     except ConfigError:
         raise
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigError(f"{key}: cannot parse {raw!r} ({exc})") from None
 
 
@@ -80,6 +80,12 @@ def _parse_bool(raw: str) -> bool:
         return _BOOL_VALUES[raw.lower()]
     except KeyError:
         raise ValueError("expected true/false") from None
+
+
+def _parse_rate(raw: str) -> Fraction:
+    rate = Fraction(raw)
+    float(rate)  # raises OverflowError for a rate beyond the float range
+    return rate
 
 
 def _parse_matrix(raw: str) -> np.ndarray:
@@ -100,8 +106,8 @@ def build_config(entries: dict[str, str]) -> RunConfig:
     """Assemble a RunConfig from parsed entries, applying defaults."""
     entries = dict(entries)
     # Rates accept decimals and exact rationals like 30000/1001.
-    display_fps = _take(entries, "modulation.frame_rate", Fraction, Fraction(30))
-    camera_fps = _take(entries, "channel.camera_fps", Fraction, Fraction(30))
+    display_fps = _take(entries, "modulation.frame_rate", _parse_rate, Fraction(30))
+    camera_fps = _take(entries, "channel.camera_fps", _parse_rate, Fraction(30))
     try:
         modulation = ModulationParams(
             m=_take(entries, "modulation.m", int, 2),

@@ -165,8 +165,8 @@ def _window_correlation(values: np.ndarray, t_centered: np.ndarray,
     return corr
 
 
-def _central_windows(sync: SyncResult, n_samples: int,
-                     n_symbols: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def central_windows(sync: SyncResult, n_samples: int,
+                    n_symbols: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Start and stop sample of each symbol's central window, clipped to [0, n).
 
     Edge samples may straddle a display-frame boundary, so decisions use the
@@ -214,7 +214,7 @@ def estimate_levels(series: SymbolSeries, sync: SyncResult,
     """
     values = series.values
     n_preamble = len(preamble_symbols(params))
-    start, stop = _central_windows(sync, len(values), n_preamble)
+    start, stop = central_windows(sync, len(values), n_preamble)
     counts = stop - start
     if not counts.all():
         raise DegenerateLevelsError(f"preamble symbol {np.argmin(counts)} has "
@@ -242,7 +242,7 @@ def decide_symbols(series: SymbolSeries, sync: SyncResult, levels: LevelEstimate
     Values exactly on a threshold resolve to the higher symbol.
     """
     values = series.values
-    start, stop = _central_windows(sync, len(values))
+    start, stop = central_windows(sync, len(values))
     decided = int(np.argmin(stop > start))
     means, _ = _window_means(values, start[:decided], stop[:decided])
     return np.searchsorted(levels.thresholds, means, side="right")

@@ -1,7 +1,10 @@
 """Independent reference implementations used to cross-check the package.
 
-Everything here is written the slow, obvious way on purpose and must not call
-into brightlink: these are the oracles the tests compare against.
+Everything here is written the slow, obvious way on purpose and, except
+transmit_reference, must not call into brightlink: these are the oracles the
+tests compare against. transmit_reference is the earlier per-capture channel
+loop, kept to check the block walk that replaced it; it reuses the package's
+resampling map, gain and quantizer, which have oracles of their own here.
 """
 
 from __future__ import annotations
@@ -171,3 +174,53 @@ def sliding_correlation_reference(values, template) -> np.ndarray:
         if norm > 0.0:
             corr[k] = float(np.sum(window * t)) / norm
     return corr
+
+
+def transmit_reference(frames: np.ndarray, display_fps: float, params) -> np.ndarray:
+    """Capture a clip one frame at a time, as the channel did before its block walk.
+
+    It keeps a one-frame cache of the last warped display frame and skips the
+    warp for an identity homography. Each capture k adds noise from its own
+    Philox stream keyed (seed, k).
+    """
+    from brightlink.channel import normalized_gain, resampling_map
+    from brightlink.core import quantize_unit, to_unit
+
+    source = np.asarray(frames)
+    n_in = source.shape[0]
+    duration = n_in / display_fps
+    n_out = max(1, round(duration * params.camera_fps))
+    capture_times = (np.arange(n_out) + 0.5) / params.camera_fps
+    src_index = np.minimum((capture_times * display_fps).astype(np.int64), n_in - 1)
+
+    gain = normalized_gain(params.geometry)
+    # An identity mapping resamples every pixel from itself; skip the map.
+    warp = None
+    if params.affine[2, 2] == 0.0 or not np.array_equal(
+            params.affine / params.affine[2, 2], np.eye(3)):
+        warp = resampling_map(np.linalg.inv(params.affine), *source.shape[1:3])
+
+    captured = []
+    # Capture times are monotonic, so one cached source frame is enough.
+    cached_idx = -1
+    cached_unit = None
+    for k in range(n_out):
+        idx = int(src_index[k])
+        if idx != cached_idx:
+            unit = to_unit(source[idx])
+            if warp is not None:
+                flat = unit.reshape(-1, 3)
+                index, weight = warp
+                out = flat[index[0]] * weight[0, :, None]
+                for corner in range(1, 4):
+                    out += flat[index[corner]] * weight[corner, :, None]
+                unit = out.reshape(unit.shape)
+            cached_idx, cached_unit = idx, unit * gain
+        observed = cached_unit
+        if params.noise_sigma > 0.0:
+            key = np.array([params.rng_seed, k], dtype=np.uint64)
+            noise = np.random.Generator(np.random.Philox(key=key)).normal(
+                0.0, params.noise_sigma, size=observed.shape)
+            observed = observed + noise
+        captured.append(quantize_unit(observed, params.quantizer_bits))
+    return np.stack(captured)

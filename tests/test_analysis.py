@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,9 +14,10 @@ from brightlink.analysis import (
     q_function,
     theoretical_ber,
 )
-from brightlink.channel import ChannelGeometry, ChannelParams
+from brightlink.channel import ChannelGeometry, ChannelParams, transmit
 from brightlink.core import ModulationParams, as_bits
-from brightlink.encoder import frames_needed, make_carrier
+from brightlink.decoder import central_windows, decode_frames
+from brightlink.encoder import encode_stream, frames_needed, make_carrier
 from reference import q_reference
 
 # Q(2) to machine precision; the usual tabulated value is 0.0228.
@@ -160,6 +162,31 @@ class TestDistanceSweep:
         assert bad[0].distance_m == 1e9
         assert math.isnan(bad[0].delta_mu)
         assert result.slope == pytest.approx(-2.0, abs=0.02)
+
+    @pytest.mark.parametrize("frames_per_symbol, samples", [(3, 2), (6, 3)])
+    def test_prediction_counts_central_window_samples(self, frames_per_symbol, samples):
+        # Each decision averages its central window: 2 samples at 3 frames per
+        # symbol (not floor(3 / 2) = 1) and 3 at 6 frames per symbol.
+        modulation = ModulationParams(m=2, symbol_duration_frames=frames_per_symbol)
+        payload = as_bits("1011001110001111")
+        carrier = make_carrier("gradient", 32, 24, frames_needed(16, modulation))
+        channel = ChannelParams(noise_sigma=0.004, quantizer_bits=16, rng_seed=11)
+        result = distance_sweep([3.0, 4.0, 5.0], payload, carrier, modulation, channel)
+        sent = encode_stream(payload, carrier, modulation)
+        for row in result.rows:
+            params = replace(channel, geometry=ChannelGeometry(distance_m=row.distance_m))
+            report = decode_frames(transmit(sent, modulation.frame_rate, params),
+                                   modulation, params.camera_fps)
+            start, stop = central_windows(report.sync, len(report.series),
+                                          len(report.symbols))
+            assert np.all(stop - start == samples)
+            mu0, mu1, sigma = report.levels.mu0, report.levels.mu1, report.levels.sigma
+            assert 1e-30 < row.pe_theory < 0.5
+            assert row.pe_theory == pytest.approx(
+                q_function((mu1 - mu0) * math.sqrt(samples) / (2.0 * sigma)), rel=1e-9)
+            if frames_per_symbol == 6:
+                # Unchanged from the floor(r / 2) formula, to the last bit.
+                assert row.pe_theory == q_function((mu1 - mu0) / (2.0 * (sigma / math.sqrt(3))))
 
     def test_needs_three_distances(self):
         modulation, payload, carrier, channel = _sweep_setup()

@@ -18,7 +18,11 @@ from brightlink.channel import (
 from brightlink.core import Color
 from brightlink.decoder import extract_signal
 from brightlink.encoder import make_carrier
-from reference import bilinear_pull_reference, surface_integrated_gain
+from reference import (
+    bilinear_pull_reference,
+    surface_integrated_gain,
+    transmit_reference,
+)
 
 
 def translation(dx, dy):
@@ -295,6 +299,60 @@ def test_warped_noisy_capture_bytes_are_pinned():
                            affine=affine, camera_fps=24.0, rng_seed=3)
     digest = hashlib.sha256(transmit(frames, 30.0, params).tobytes()).hexdigest()
     assert digest == "f33f6b2055ca6f25127e3402717a7fa52b83cf87662f036575bcf84d063b9e13"
+
+
+def test_identity_noisy_capture_bytes_are_pinned():
+    # The identity homography goes through the same sparse warp as any other;
+    # these bytes were recorded when it still skipped the warp.
+    frames = np.random.default_rng(8).integers(0, 256, (9, 20, 28, 3), dtype=np.uint8)
+    params = ChannelParams(geometry=ChannelGeometry(distance_m=1.3), noise_sigma=0.02,
+                           camera_fps=45.0, rng_seed=12)
+    digest = hashlib.sha256(transmit(frames, 30.0, params).tobytes()).hexdigest()
+    assert digest == "e6aa78e219a90a8436cc42cf0f990c4e744a8183346a35df8ab8e564d0bd23c1"
+
+
+BLOCK_WALK_MATRICES = {
+    "identity": identity_homography(),
+    "near_identity": np.diag([1.0 + 8e-6, 1.0, 1.0]),
+    "perspective": np.array([[0.95, -0.066, 2.7], [0.066, 0.95, -0.35],
+                             [0.0002, -0.0001, 1.0]]),
+}
+
+
+class TestBlockWalk:
+    """transmit walks the clip in blocks of captures; the per-capture loop it
+    replaced (tests/reference.py) must give the same bytes."""
+
+    # 120 display frames of 24x32 at 24-60 fps give 96-240 captures: 4 to 9
+    # blocks of 28 captures (2^16 values).
+    CLIP = np.random.default_rng(21).integers(0, 256, (120, 24, 32, 3), dtype=np.uint8)
+
+    @pytest.mark.parametrize("camera_fps", [24.0, 30.0, 60.0, 45.0, 30000 / 1001])
+    @pytest.mark.parametrize("matrix", list(BLOCK_WALK_MATRICES))
+    @pytest.mark.parametrize("bits", [8, 16])
+    def test_matches_per_capture_loop(self, camera_fps, matrix, bits):
+        for noise in (0.0, 0.01):
+            for frames in (self.CLIP, self.CLIP / 255.0):
+                params = ChannelParams(geometry=ChannelGeometry(distance_m=1.4),
+                                       noise_sigma=noise, camera_fps=camera_fps,
+                                       affine=BLOCK_WALK_MATRICES[matrix],
+                                       quantizer_bits=bits, rng_seed=17)
+                out = transmit(frames, 30.0, params)
+                assert out.size >= 3 * (1 << 16)
+                expected = transmit_reference(frames, 30.0, params)
+                assert out.dtype == expected.dtype
+                assert out.shape == expected.shape
+                assert out.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("camera_fps", [24.0, 60.0])
+    def test_frames_larger_than_a_block(self, camera_fps):
+        # 160x140 pixels hold more than 2^16 values: one capture per block,
+        # and at 60 fps consecutive blocks show the same display frame.
+        frames = np.random.default_rng(22).integers(0, 256, (4, 140, 160, 3), dtype=np.uint8)
+        params = ChannelParams(noise_sigma=0.01, camera_fps=camera_fps, rng_seed=2,
+                               affine=BLOCK_WALK_MATRICES["perspective"])
+        out = transmit(frames, 30.0, params)
+        assert out.tobytes() == transmit_reference(frames, 30.0, params).tobytes()
 
 
 @settings(max_examples=20, deadline=None)

@@ -164,6 +164,15 @@ class TestErrorPaths:
                      "--out", str(tmp_path / "x.bfrs")])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("key", ["channel.camera_fps", "modulation.frame_rate"])
+    def test_rate_beyond_float_range_is_a_config_error(self, tmp_path, capsys, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = 1e400\n", encoding="utf-8")
+        code = main(["encode", "--config", str(cfg), "--payload-bits", "1010",
+                     "--out", str(tmp_path / "tx.bfrs")])
+        assert code == EXIT_USAGE
+        assert key in capsys.readouterr().err
+
     def test_bad_bfrs_file(self, tmp_path, demo_cfg):
         junk = tmp_path / "junk.bfrs"
         junk.write_bytes(b"JUNKJUNKJUNKJUNKJUNKJUNKJUNK")
@@ -255,6 +264,10 @@ class TestBerCommand:
     def test_rejects_bad_q(self, tmp_path):
         assert main(["ber", "--q", "0"]) == EXIT_USAGE
         assert main(["ber", "--q", "abc"]) == EXIT_USAGE
+
+    def test_rejects_too_few_symbols(self, capsys):
+        assert main(["ber", "--q", "1", "--symbols", "5"]) == EXIT_USAGE
+        assert "--symbols must be at least 10000" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text, report_digest, csv_digest", [

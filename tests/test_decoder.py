@@ -23,6 +23,7 @@ from brightlink.decoder import (
     SyncError,
     SyncResult,
     bit_error_rate,
+    central_windows,
     decide_symbols,
     decode_frames,
     deframe,
@@ -30,7 +31,6 @@ from brightlink.decoder import (
     extract_signal,
     received_frames_per_symbol,
     synchronize,
-    _central_windows,
     _window_correlation,
 )
 from brightlink.encoder import encode_stream, frame_payload, frames_needed, make_carrier
@@ -419,13 +419,13 @@ class TestWholeTraceReceiver:
     def test_central_windows_match_reference(self, r, offset, n_samples):
         sync = SyncResult(offset=offset, frames_per_symbol=r)
         for n_symbols in (None, 16):
-            start, stop = _central_windows(sync, n_samples, n_symbols)
+            start, stop = central_windows(sync, n_samples, n_symbols)
             for j in range(start.size):
                 assert np.array_equal(np.arange(start[j], stop[j]),
                                       central_window_reference(offset, r, j, n_samples))
         # By default the table runs through the first symbol that starts past
         # the end of the trace.
-        start, stop = _central_windows(sync, n_samples)
+        start, stop = central_windows(sync, n_samples)
         assert stop[-1] == start[-1]
         assert central_window_reference(offset, r, start.size, n_samples).size == 0
 
