@@ -153,17 +153,26 @@ def distance_sweep(distances, payload_bits, carrier: np.ndarray,
 
 
 def _decision_error_estimate(report) -> float:
-    """Q-model error rate using the decoder's level and noise estimates.
+    """Q-model bit error rate using the decoder's level and noise estimates.
 
-    A decision averages the n samples of its symbol's central window, so it
-    errs with Q((mu1 - mu0) sqrt(n) / (2 sigma)). The mean over the decided
-    symbols weights one term per distinct n, which keeps a uniform n exact.
-    A zero sigma estimate means a noiseless run, hence zero predicted errors.
+    The M levels lie (mu1 - mu0) / (M - 1) apart, and a decision averages the
+    n samples of its symbol's central window, so it crosses each threshold
+    next to its level with Q(spacing sqrt(n) / (2 sigma)). With equiprobable
+    symbols in natural binary, crossing the threshold between b and b + 1
+    flips popcount(b ^ (b + 1)) of the log2 M bits, which gives the
+    nearest-neighbour factor 2 sum_b popcount(b ^ (b + 1)) / (M log2 M),
+    exactly 1 for M = 2. The mean over the decided symbols weights one term
+    per distinct n, which keeps a uniform n exact. A zero sigma estimate means
+    a noiseless run, hence zero predicted errors.
     """
     levels = report.levels
     if levels.sigma == 0.0:
         return 0.0
+    m = len(levels.level_means)
+    spacing = (levels.mu1 - levels.mu0) / (m - 1)
+    flips = sum((b ^ (b + 1)).bit_count() for b in range(m - 1))
+    neighbour_factor = 2 * flips / (m * (m.bit_length() - 1))
     start, stop = central_windows(report.sync, len(report.series), len(report.symbols))
     n_central, n_symbols = np.unique(stop - start, return_counts=True)
-    pe = q_function((levels.mu1 - levels.mu0) / (2.0 * levels.sigma / np.sqrt(n_central)))
-    return float(np.sum(pe * (n_symbols / n_symbols.sum())))
+    pe = q_function(spacing / (2.0 * levels.sigma / np.sqrt(n_central)))
+    return float(np.sum(pe * (n_symbols / n_symbols.sum()))) * neighbour_factor

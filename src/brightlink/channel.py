@@ -163,7 +163,8 @@ def transmit(frames: np.ndarray, display_fps: float, params: ChannelParams,
     warped through the homography, scaled by the normalized geometric gain,
     plus white Gaussian noise keyed by (seed, capture index), quantized to the
     sensor bit depth. The warp is one sparse operator per call, applied to
-    blocks of captures: one product for the display frames a block shows.
+    blocks of captures that end on display-frame boundaries: one product for
+    the display frames a block shows, so each shown frame is warped once.
 
     Passing symbol_rate enables the sampling guard: the camera must run at
     twice the symbol rate or faster, otherwise captures can miss symbols
@@ -193,20 +194,32 @@ def transmit(frames: np.ndarray, display_fps: float, params: ChannelParams,
     warp = sparse.csr_array((weight.T.ravel(), index.T.ravel(),
                              np.arange(0, 4 * n_pix + 1, 4)), shape=(n_pix, n_pix))
 
+    # One Philox per call, reset to key (seed, k) and counter 0 before capture
+    # k draws, so each capture reads its own stream from the start, as a fresh
+    # generator would. A uint64 key keeps big seeds exact.
+    philox = np.random.Philox(key=np.array([params.rng_seed, 0], dtype=np.uint64))
+    rng = np.random.Generator(philox)
+    fresh = philox.state
+    key = fresh["state"]["key"]
+
     captured = np.empty((n_out, height, width, 3),
                         dtype=np.uint8 if params.quantizer_bits == 8 else np.float32)
-    # Blocks of about 2^16 values bound the float copies on long clips.
+    # Blocks of about 2^16 values bound the float copies on long clips; a block
+    # ends with the last capture of a display frame, so each is warped once.
     step = max(1, (1 << 16) // (3 * n_pix))
-    for start in range(0, n_out, step):
-        shown, capture_of = np.unique(src_index[start:start + step], return_inverse=True)
+    start = 0
+    while start < n_out:
+        stop = int(np.searchsorted(src_index, src_index[min(start + step, n_out) - 1],
+                                   side="right"))
+        shown, capture_of = np.unique(src_index[start:stop], return_inverse=True)
         unit = to_unit(source[shown].transpose(1, 2, 0, 3).reshape(n_pix, -1))
         warped = ((warp @ unit) * gain).reshape(height, width, -1, 3).transpose(2, 0, 1, 3)
         observed = warped[capture_of]
         if params.noise_sigma > 0.0:
-            for j, frame in enumerate(observed):
-                # One Philox stream per (seed, capture); a uint64 key keeps big seeds exact.
-                key = np.array([params.rng_seed, start + j], dtype=np.uint64)
-                frame += np.random.Generator(np.random.Philox(key=key)).normal(
-                    0.0, params.noise_sigma, size=frame.shape)
-        captured[start:start + step] = quantize_unit(observed, params.quantizer_bits)
+            for k, frame in enumerate(observed, start):
+                key[1] = k
+                philox.state = fresh
+                frame += rng.normal(0.0, params.noise_sigma, size=frame.shape)
+        captured[start:stop] = quantize_unit(observed, params.quantizer_bits)
+        start = stop
     return captured

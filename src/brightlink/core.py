@@ -192,7 +192,9 @@ def quantize_unit(frames: np.ndarray, bits: int = 8) -> np.ndarray:
     if not 1 <= bits <= 30:
         raise ValueError(f"quantizer bits must lie in [1, 30], got {bits}")
     levels = (1 << bits) - 1
-    q = np.floor(np.asarray(frames, dtype=np.float64) * levels + 0.5)
+    q = np.multiply(frames, levels, dtype=np.float64)
+    q += 0.5
+    np.floor(q, out=q)
     np.clip(q, 0, levels, out=q)
     if bits == 8:
         return q.astype(np.uint8)

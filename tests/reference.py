@@ -95,7 +95,7 @@ def surface_integrated_gain(distance: float, phi: float, theta: float,
     q_dot_nd = aperture_pts @ n_disp
     q_dot_na = aperture_pts @ n_aper
     total = 0.0
-    chunk = 1024
+    chunk = 64
     for start in range(0, display_pts.shape[0], chunk):
         p = display_pts[start:start + chunk]
         r2 = np.add.outer(np.sum(p**2, axis=1), q_norm2) - 2.0 * p @ aperture_pts.T

@@ -188,6 +188,28 @@ class TestDistanceSweep:
                 # Unchanged from the floor(r / 2) formula, to the last bit.
                 assert row.pe_theory == q_function((mu1 - mu0) / (2.0 * (sigma / math.sqrt(3))))
 
+    @pytest.mark.parametrize("m, neighbour_factor", [(4, 1.0), (8, 11 / 12)])
+    def test_m_ary_prediction_uses_adjacent_spacing(self, m, neighbour_factor):
+        # Adjacent levels lie (mu1 - mu0) / (m - 1) apart; the nearest-neighbour
+        # factor 2 sum_b popcount(b ^ (b + 1)) / (m log2 m) is 2 * 4 / 8 for
+        # m = 4 and 2 * 11 / 24 for m = 8.
+        modulation = ModulationParams(m=m, symbol_duration_frames=6)
+        payload = as_bits("1011001110001111" * 3)
+        carrier = make_carrier("gradient", 32, 24, frames_needed(48, modulation))
+        channel = ChannelParams(noise_sigma=0.004, quantizer_bits=16, rng_seed=11)
+        result = distance_sweep([1.5, 2.0, 2.5], payload, carrier, modulation, channel)
+        sent = encode_stream(payload, carrier, modulation)
+        for row in result.rows:
+            assert row.error is None
+            params = replace(channel, geometry=ChannelGeometry(distance_m=row.distance_m))
+            report = decode_frames(transmit(sent, modulation.frame_rate, params),
+                                   modulation, params.camera_fps)
+            mu0, mu1, sigma = report.levels.mu0, report.levels.mu1, report.levels.sigma
+            spacing = (mu1 - mu0) / (m - 1)
+            expected = neighbour_factor * q_function(spacing * math.sqrt(3) / (2.0 * sigma))
+            assert 1e-30 < row.pe_theory < 0.5
+            assert row.pe_theory == pytest.approx(expected, rel=1e-9)
+
     def test_needs_three_distances(self):
         modulation, payload, carrier, channel = _sweep_setup()
         with pytest.raises(ValueError, match="3 distances"):

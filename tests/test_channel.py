@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brightlink import channel as channel_module
 from brightlink.channel import (
     ChannelGeometry,
     ChannelParams,
@@ -15,7 +16,7 @@ from brightlink.channel import (
     normalized_gain,
     transmit,
 )
-from brightlink.core import Color
+from brightlink.core import Color, to_unit
 from brightlink.decoder import extract_signal
 from brightlink.encoder import make_carrier
 from reference import (
@@ -331,12 +332,13 @@ class TestBlockWalk:
     @pytest.mark.parametrize("matrix", list(BLOCK_WALK_MATRICES))
     @pytest.mark.parametrize("bits", [8, 16])
     def test_matches_per_capture_loop(self, camera_fps, matrix, bits):
-        for noise in (0.0, 0.01):
+        # The largest 64-bit seed checks the rekeyed stream's uint64 key.
+        for noise, seed in ((0.0, 17), (0.01, 17), (0.01, 2**64 - 1)):
             for frames in (self.CLIP, self.CLIP / 255.0):
                 params = ChannelParams(geometry=ChannelGeometry(distance_m=1.4),
                                        noise_sigma=noise, camera_fps=camera_fps,
                                        affine=BLOCK_WALK_MATRICES[matrix],
-                                       quantizer_bits=bits, rng_seed=17)
+                                       quantizer_bits=bits, rng_seed=seed)
                 out = transmit(frames, 30.0, params)
                 assert out.size >= 3 * (1 << 16)
                 expected = transmit_reference(frames, 30.0, params)
@@ -344,15 +346,51 @@ class TestBlockWalk:
                 assert out.shape == expected.shape
                 assert out.tobytes() == expected.tobytes()
 
-    @pytest.mark.parametrize("camera_fps", [24.0, 60.0])
+    LARGE = np.random.default_rng(22).integers(0, 256, (4, 140, 160, 3), dtype=np.uint8)
+
+    @pytest.mark.parametrize("camera_fps", [24.0, 60.0, 120.0])
     def test_frames_larger_than_a_block(self, camera_fps):
-        # 160x140 pixels hold more than 2^16 values: one capture per block,
-        # and at 60 fps consecutive blocks show the same display frame.
-        frames = np.random.default_rng(22).integers(0, 256, (4, 140, 160, 3), dtype=np.uint8)
+        # 160x140 pixels hold more than 2^16 values, so a block is the
+        # captures of one display frame: 2 at 60 fps, 4 at 120 fps.
         params = ChannelParams(noise_sigma=0.01, camera_fps=camera_fps, rng_seed=2,
                                affine=BLOCK_WALK_MATRICES["perspective"])
-        out = transmit(frames, 30.0, params)
-        assert out.tobytes() == transmit_reference(frames, 30.0, params).tobytes()
+        out = transmit(self.LARGE, 30.0, params)
+        assert out.tobytes() == transmit_reference(self.LARGE, 30.0, params).tobytes()
+
+    @pytest.mark.parametrize("clip, camera_fps", [("LARGE", 120.0), ("CLIP", 45.0)])
+    def test_each_shown_frame_converted_once(self, monkeypatch, clip, camera_fps):
+        # At 45 fps a display frame spans 1.5 captures, so fixed blocks of 28
+        # captures would split some display frames between two blocks.
+        frames = getattr(self, clip)
+        params = ChannelParams(noise_sigma=0.01, camera_fps=camera_fps,
+                               affine=BLOCK_WALK_MATRICES["perspective"])
+        expected = transmit_reference(frames, 30.0, params)
+        converted = []
+
+        def counting_to_unit(pixels):
+            converted.append(pixels.shape[1] // 3)
+            return to_unit(pixels)
+
+        monkeypatch.setattr(channel_module, "to_unit", counting_to_unit)
+        assert transmit(frames, 30.0, params).tobytes() == expected.tobytes()
+        # The camera outruns the 30 fps display, so every display frame is shown.
+        assert sum(converted) == len(frames)
+
+    def test_one_noise_generator_per_call(self, monkeypatch):
+        params = ChannelParams(noise_sigma=0.01, camera_fps=60.0, rng_seed=9)
+        expected = transmit_reference(self.CLIP[:20], 30.0, params)
+        philox = np.random.Philox
+        built = []
+
+        def counting_philox(*args, **kwargs):
+            built.append(1)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting_philox)
+        out = transmit(self.CLIP[:20], 30.0, params)
+        assert len(out) == 40
+        assert len(built) <= 1
+        assert out.tobytes() == expected.tobytes()
 
 
 @settings(max_examples=20, deadline=None)
