@@ -64,6 +64,8 @@ def monte_carlo_ber(model: BerModel, n_symbols: int, seed: int = 0) -> tuple[flo
     if n_symbols < MC_MIN_SYMBOLS:
         raise ValueError(f"n_symbols must be at least {MC_MIN_SYMBOLS} for a "
                          f"meaningful estimate, got {n_symbols}")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must fit in 64 bits, got {seed}")
     errors = 0
     done = 0
     chunk_index = 0

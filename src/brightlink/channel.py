@@ -3,12 +3,18 @@
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy import sparse
 
 from .core import quantize_unit, to_unit, validate_frames
+
+# CPUs this process may run on: the most capture spans one transmit call walks.
+_CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+          else os.cpu_count() or 1)
 
 
 def identity_homography() -> np.ndarray:
@@ -165,6 +171,8 @@ def transmit(frames: np.ndarray, display_fps: float, params: ChannelParams,
     sensor bit depth. The warp is one sparse operator per call, applied to
     blocks of captures that end on display-frame boundaries: one product for
     the display frames a block shows, so each shown frame is warped once.
+    With frames of 2^10 values or more, the captures are cut into one span
+    per CPU on display-frame boundaries and the spans run in threads.
 
     Passing symbol_rate enables the sampling guard: the camera must run at
     twice the symbol rate or faster, otherwise captures can miss symbols
@@ -174,7 +182,7 @@ def transmit(frames: np.ndarray, display_fps: float, params: ChannelParams,
     if not math.isfinite(display_fps) or display_fps <= 0.0:
         raise ValueError(f"display_fps must be positive, got {display_fps}")
     if symbol_rate is not None:
-        if symbol_rate <= 0.0:
+        if not math.isfinite(symbol_rate) or symbol_rate <= 0.0:
             raise ValueError(f"symbol_rate must be positive, got {symbol_rate}")
         if params.camera_fps < 2.0 * symbol_rate:
             raise SamplingRateError(
@@ -194,32 +202,50 @@ def transmit(frames: np.ndarray, display_fps: float, params: ChannelParams,
     warp = sparse.csr_array((weight.T.ravel(), index.T.ravel(),
                              np.arange(0, 4 * n_pix + 1, 4)), shape=(n_pix, n_pix))
 
-    # One Philox per call, reset to key (seed, k) and counter 0 before capture
-    # k draws, so each capture reads its own stream from the start, as a fresh
-    # generator would. A uint64 key keeps big seeds exact.
-    philox = np.random.Philox(key=np.array([params.rng_seed, 0], dtype=np.uint64))
-    rng = np.random.Generator(philox)
-    fresh = philox.state
-    key = fresh["state"]["key"]
-
     captured = np.empty((n_out, height, width, 3),
                         dtype=np.uint8 if params.quantizer_bits == 8 else np.float32)
     # Blocks of about 2^16 values bound the float copies on long clips; a block
     # ends with the last capture of a display frame, so each is warped once.
     step = max(1, (1 << 16) // (3 * n_pix))
-    start = 0
-    while start < n_out:
-        stop = int(np.searchsorted(src_index, src_index[min(start + step, n_out) - 1],
-                                   side="right"))
-        shown, capture_of = np.unique(src_index[start:stop], return_inverse=True)
-        unit = to_unit(source[shown].transpose(1, 2, 0, 3).reshape(n_pix, -1))
-        warped = ((warp @ unit) * gain).reshape(height, width, -1, 3).transpose(2, 0, 1, 3)
-        observed = warped[capture_of]
-        if params.noise_sigma > 0.0:
-            for k, frame in enumerate(observed, start):
-                key[1] = k
-                philox.state = fresh
-                frame += rng.normal(0.0, params.noise_sigma, size=frame.shape)
-        captured[start:stop] = quantize_unit(observed, params.quantizer_bits)
-        start = stop
+
+    def frame_end(k: int) -> int:
+        # One past the last capture that shows the display frame capture k - 1 shows.
+        return int(np.searchsorted(src_index, src_index[k - 1], side="right"))
+
+    def walk(start: int, stop: int) -> None:
+        # One Philox per span, reset to key (seed, k) and counter 0 before
+        # capture k draws, so each capture reads its own stream from the start,
+        # as a fresh generator would. A uint64 key keeps big seeds exact.
+        philox = np.random.Philox(key=np.array([params.rng_seed, 0], dtype=np.uint64))
+        rng = np.random.Generator(philox)
+        fresh = philox.state
+        key = fresh["state"]["key"]
+        while start < stop:
+            end = frame_end(min(start + step, stop))
+            shown, capture_of = np.unique(src_index[start:end], return_inverse=True)
+            unit = to_unit(source[shown].transpose(1, 2, 0, 3).reshape(n_pix, -1))
+            warped = ((warp @ unit) * gain).reshape(height, width, -1, 3).transpose(2, 0, 1, 3)
+            observed = warped[capture_of]
+            if params.noise_sigma > 0.0:
+                for k, frame in enumerate(observed, start):
+                    key[1] = k
+                    philox.state = fresh
+                    frame += rng.normal(0.0, params.noise_sigma, size=frame.shape)
+            captured[start:end] = quantize_unit(observed, params.quantizer_bits)
+            start = end
+
+    # Spans of captures, one per core and no more than blocks, cut on display-
+    # frame boundaries. The draws and the warp run without the GIL, which pays
+    # once a capture holds 2^10 values; the bytes do not depend on the cut.
+    n_spans = min(_CORES, -(-n_out // step)) if 3 * n_pix >= 1 << 10 else 1
+    cuts = sorted({0, n_out, *(frame_end(n_out * i // n_spans) for i in range(1, n_spans))})
+    first, *rest = zip(cuts[:-1], cuts[1:])
+    if not rest:
+        walk(*first)
+        return captured
+    with ThreadPoolExecutor(len(rest)) as pool:
+        futures = [pool.submit(walk, *span) for span in rest]
+        walk(*first)
+        for future in futures:
+            future.result()
     return captured

@@ -74,10 +74,16 @@ def _carrier_for(config: RunConfig, carrier_path: str | None,
                         config.carrier_height, n)
 
 
+def _check_seed(seed: int) -> int:
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"--seed must lie in [0, 2**64), got {seed}")
+    return seed
+
+
 def _override_seed(config: RunConfig, seed: int | None) -> RunConfig:
     if seed is None:
         return config
-    return replace(config, channel=replace(config.channel, rng_seed=seed))
+    return replace(config, channel=replace(config.channel, rng_seed=_check_seed(seed)))
 
 
 def cmd_encode(args) -> int:
@@ -185,6 +191,7 @@ def cmd_ber(args) -> int:
         raise ConfigError("q values must be positive numbers")
     if args.symbols < MC_MIN_SYMBOLS:
         raise ConfigError(f"--symbols must be at least {MC_MIN_SYMBOLS}, got {args.symbols}")
+    _check_seed(args.seed)
     lines = ["q,pe_theory,pe_mc,ci_halfwidth"]
     for q in q_points:
         # Unit swing with sigma = 1/(2q) puts the decision margin exactly at q.

@@ -82,6 +82,12 @@ class TestMonteCarloBer:
         with pytest.raises(ValueError, match="n_symbols"):
             monte_carlo_ber(model, 9_999)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_seed_outside_64_bits(self, seed):
+        model = BerModel.from_levels(0.0, 1.0, 0.25)
+        with pytest.raises(ValueError, match="seed"):
+            monte_carlo_ber(model, 10_000, seed=seed)
+
     def test_deterministic_per_seed(self):
         model = BerModel.from_levels(0.0, 1.0, 0.25)
         assert monte_carlo_ber(model, 50_000, seed=5) == monte_carlo_ber(

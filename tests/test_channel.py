@@ -1,5 +1,9 @@
+import functools
 import hashlib
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -16,7 +20,7 @@ from brightlink.channel import (
     normalized_gain,
     transmit,
 )
-from brightlink.core import Color, to_unit
+from brightlink.core import Color, quantize_unit, to_unit
 from brightlink.decoder import extract_signal
 from brightlink.encoder import make_carrier
 from reference import (
@@ -215,6 +219,9 @@ class TestTransmit:
         params = ChannelParams(camera_fps=9.0)
         with pytest.raises(SamplingRateError):
             transmit(frames, 30.0, params, symbol_rate=5.0)
+        for rate in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="symbol_rate must be positive"):
+                transmit(frames, 30.0, params, symbol_rate=rate)
         # Exactly twice the symbol rate is allowed.
         params = ChannelParams(camera_fps=10.0)
         assert transmit(frames, 30.0, params, symbol_rate=5.0).shape[0] == 4
@@ -320,31 +327,58 @@ BLOCK_WALK_MATRICES = {
 }
 
 
+def with_workers(cases):
+    """Cross cases with forced span counts 1, 2, 3 and 8; the one-span case,
+    which is how these tests ran before transmit split its captures, keeps
+    the id it had then."""
+    return [pytest.param(*case, workers,
+                         id="-".join(map(str, case)) + ("" if workers == 1
+                                                        else f"-{workers}workers"))
+            for case in cases for workers in (1, 2, 3, 8)]
+
+
+@functools.cache
+def reference_digest(clip, scaled, camera_fps, matrix, bits, noise, seed):
+    """SHA-256, dtype and shape of transmit_reference's output, computed once
+    for all forced span counts."""
+    frames = getattr(TestBlockWalk, clip)
+    params = ChannelParams(geometry=ChannelGeometry(distance_m=1.4), noise_sigma=noise,
+                           camera_fps=camera_fps, affine=BLOCK_WALK_MATRICES[matrix],
+                           quantizer_bits=bits, rng_seed=seed)
+    expected = transmit_reference(frames / 255.0 if scaled else frames, 30.0, params)
+    return hashlib.sha256(expected.tobytes()).hexdigest(), expected.dtype, expected.shape
+
+
 class TestBlockWalk:
-    """transmit walks the clip in blocks of captures; the per-capture loop it
-    replaced (tests/reference.py) must give the same bytes."""
+    """transmit walks the clip in blocks of captures, split into spans that run
+    on separate cores; the per-capture loop it replaced (tests/reference.py)
+    must give the same bytes at any span count."""
 
     # 120 display frames of 24x32 at 24-60 fps give 96-240 captures: 4 to 9
-    # blocks of 28 captures (2^16 values).
+    # blocks of 28 captures (2^16 values). 8 workers outnumber the blocks at 24 fps.
     CLIP = np.random.default_rng(21).integers(0, 256, (120, 24, 32, 3), dtype=np.uint8)
 
-    @pytest.mark.parametrize("camera_fps", [24.0, 30.0, 60.0, 45.0, 30000 / 1001])
+    @pytest.mark.parametrize("camera_fps, workers",
+                             with_workers([(24.0,), (30.0,), (60.0,), (45.0,),
+                                           (30000 / 1001,)]))
     @pytest.mark.parametrize("matrix", list(BLOCK_WALK_MATRICES))
     @pytest.mark.parametrize("bits", [8, 16])
-    def test_matches_per_capture_loop(self, camera_fps, matrix, bits):
+    def test_matches_per_capture_loop(self, monkeypatch, camera_fps, workers, matrix, bits):
+        monkeypatch.setattr(channel_module, "_CORES", workers)
         # The largest 64-bit seed checks the rekeyed stream's uint64 key.
         for noise, seed in ((0.0, 17), (0.01, 17), (0.01, 2**64 - 1)):
-            for frames in (self.CLIP, self.CLIP / 255.0):
+            for scaled in (False, True):
                 params = ChannelParams(geometry=ChannelGeometry(distance_m=1.4),
                                        noise_sigma=noise, camera_fps=camera_fps,
                                        affine=BLOCK_WALK_MATRICES[matrix],
                                        quantizer_bits=bits, rng_seed=seed)
-                out = transmit(frames, 30.0, params)
+                out = transmit(self.CLIP / 255.0 if scaled else self.CLIP, 30.0, params)
                 assert out.size >= 3 * (1 << 16)
-                expected = transmit_reference(frames, 30.0, params)
-                assert out.dtype == expected.dtype
-                assert out.shape == expected.shape
-                assert out.tobytes() == expected.tobytes()
+                digest, dtype, shape = reference_digest("CLIP", scaled, camera_fps,
+                                                        matrix, bits, noise, seed)
+                assert out.dtype == dtype
+                assert out.shape == shape
+                assert hashlib.sha256(out.tobytes()).hexdigest() == digest
 
     LARGE = np.random.default_rng(22).integers(0, 256, (4, 140, 160, 3), dtype=np.uint8)
 
@@ -357,10 +391,12 @@ class TestBlockWalk:
         out = transmit(self.LARGE, 30.0, params)
         assert out.tobytes() == transmit_reference(self.LARGE, 30.0, params).tobytes()
 
-    @pytest.mark.parametrize("clip, camera_fps", [("LARGE", 120.0), ("CLIP", 45.0)])
-    def test_each_shown_frame_converted_once(self, monkeypatch, clip, camera_fps):
+    @pytest.mark.parametrize("clip, camera_fps, workers",
+                             with_workers([("LARGE", 120.0), ("CLIP", 45.0)]))
+    def test_each_shown_frame_converted_once(self, monkeypatch, clip, camera_fps, workers):
         # At 45 fps a display frame spans 1.5 captures, so fixed blocks of 28
-        # captures would split some display frames between two blocks.
+        # captures, or spans cut off a frame boundary, would split some display
+        # frames between two blocks.
         frames = getattr(self, clip)
         params = ChannelParams(noise_sigma=0.01, camera_fps=camera_fps,
                                affine=BLOCK_WALK_MATRICES["perspective"])
@@ -371,12 +407,64 @@ class TestBlockWalk:
             converted.append(pixels.shape[1] // 3)
             return to_unit(pixels)
 
+        monkeypatch.setattr(channel_module, "_CORES", workers)
         monkeypatch.setattr(channel_module, "to_unit", counting_to_unit)
         assert transmit(frames, 30.0, params).tobytes() == expected.tobytes()
         # The camera outruns the 30 fps display, so every display frame is shown.
         assert sum(converted) == len(frames)
 
+    def test_small_frames_and_one_block_calls_start_no_threads(self, monkeypatch):
+        opened = []
+
+        def counting_executor(max_workers):
+            opened.append(max_workers)
+            return ThreadPoolExecutor(max_workers)
+
+        monkeypatch.setattr(channel_module, "_CORES", 8)
+        monkeypatch.setattr(channel_module, "ThreadPoolExecutor", counting_executor)
+        params = ChannelParams(noise_sigma=0.01, camera_fps=24.0, rng_seed=5)
+        # 16x12 frames hold 576 values, under the 2^10 at which spans pay.
+        small = make_carrier("gradient", 16, 12, 300)
+        assert transmit(small, 30.0, params).tobytes() == \
+            transmit_reference(small, 30.0, params).tobytes()
+        # 20 captures of 24x32 fit in one block of 28.
+        assert transmit(self.CLIP[:25], 30.0, params).tobytes() == \
+            transmit_reference(self.CLIP[:25], 30.0, params).tobytes()
+        assert opened == []
+        # 96 captures are 4 blocks: 4 spans, of which the caller walks one.
+        transmit(self.CLIP, 30.0, params)
+        assert opened == [3]
+
+    def test_spans_hold_under_rapid_thread_switches(self, monkeypatch):
+        # Spans share the output array and the warp; switching threads every
+        # microsecond must not let one span's writes or draws reach another's.
+        monkeypatch.setattr(channel_module, "_CORES", 8)
+        params = ChannelParams(noise_sigma=0.01, camera_fps=45.0, rng_seed=3,
+                               affine=BLOCK_WALK_MATRICES["perspective"])
+        expected = transmit_reference(self.CLIP, 30.0, params)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = transmit(self.CLIP, 30.0, params)
+        finally:
+            sys.setswitchinterval(interval)
+        assert out.tobytes() == expected.tobytes()
+
+    def test_worker_errors_reach_the_caller(self, monkeypatch):
+        def failing_off_the_calling_thread(frames, bits):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("worker failed")
+            return quantize_unit(frames, bits)
+
+        monkeypatch.setattr(channel_module, "_CORES", 2)
+        monkeypatch.setattr(channel_module, "quantize_unit", failing_off_the_calling_thread)
+        with pytest.raises(RuntimeError, match="worker failed"):
+            transmit(self.CLIP, 30.0, ChannelParams())
+
     def test_one_noise_generator_per_call(self, monkeypatch):
+        # Two spans, whatever the host: a generator per capture would build 40
+        # for the short call and 400 for the long one.
+        monkeypatch.setattr(channel_module, "_CORES", 2)
         params = ChannelParams(noise_sigma=0.01, camera_fps=60.0, rng_seed=9)
         expected = transmit_reference(self.CLIP[:20], 30.0, params)
         philox = np.random.Philox
@@ -389,8 +477,12 @@ class TestBlockWalk:
         monkeypatch.setattr(np.random, "Philox", counting_philox)
         out = transmit(self.CLIP[:20], 30.0, params)
         assert len(out) == 40
-        assert len(built) <= 1
+        assert len(built) <= 2
         assert out.tobytes() == expected.tobytes()
+        short_call = len(built)
+        built.clear()
+        assert len(transmit(np.concatenate([self.CLIP, self.CLIP[:80]]), 30.0, params)) == 400
+        assert len(built) <= short_call
 
 
 @settings(max_examples=20, deadline=None)

@@ -173,6 +173,20 @@ class TestErrorPaths:
         assert code == EXIT_USAGE
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize("command", ["channel", "sweep", "ber"])
+    def test_seed_outside_64_bits_is_a_usage_error(self, tmp_path, demo_cfg, capsys,
+                                                   command, seed):
+        args = {
+            "channel": ["--config", str(demo_cfg), "--in", str(tmp_path / "tx.bfrs"),
+                        "--out", str(tmp_path / "rx.bfrs")],
+            "sweep": ["--config", str(demo_cfg), "--distances", "1",
+                      "--out", str(tmp_path / "sweep.csv")],
+            "ber": ["--q", "1"],
+        }[command]
+        assert main([command, *args, "--seed", seed]) == EXIT_USAGE
+        assert "--seed" in capsys.readouterr().err
+
     def test_bad_bfrs_file(self, tmp_path, demo_cfg):
         junk = tmp_path / "junk.bfrs"
         junk.write_bytes(b"JUNKJUNKJUNKJUNKJUNKJUNKJUNK")
