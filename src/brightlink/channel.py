@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -12,9 +13,14 @@ from scipy import sparse
 
 from .core import quantize_unit, to_unit, validate_frames
 
-# CPUs this process may run on: the most capture spans one transmit call walks.
+# CPUs this process may run on: the most threads one transmit call uses.
 _CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
           else os.cpu_count() or 1)
+# Values per capture from which transmit uses threads: a block is then one
+# display frame's captures, and each draw, which runs without the GIL, outlasts
+# its Python work about 200 times. Smaller captures also ran faster in threads,
+# but the gain swung with the host's load from one run to the next.
+_SPLIT_MIN_VALUES = 1 << 16
 
 
 def identity_homography() -> np.ndarray:
@@ -171,8 +177,8 @@ def transmit(frames: np.ndarray, display_fps: float, params: ChannelParams,
     sensor bit depth. The warp is one sparse operator per call, applied to
     blocks of captures that end on display-frame boundaries: one product for
     the display frames a block shows, so each shown frame is warped once.
-    With frames of 2^10 values or more, the captures are cut into one span
-    per CPU on display-frame boundaries and the spans run in threads.
+    With frames of 2^16 values or more, one thread per CPU takes the blocks
+    one at a time.
 
     Passing symbol_rate enables the sampling guard: the camera must run at
     twice the symbol rate or faster, otherwise captures can miss symbols
@@ -207,21 +213,28 @@ def transmit(frames: np.ndarray, display_fps: float, params: ChannelParams,
     # Blocks of about 2^16 values bound the float copies on long clips; a block
     # ends with the last capture of a display frame, so each is warped once.
     step = max(1, (1 << 16) // (3 * n_pix))
+    bounds = [0]
+    while bounds[-1] < n_out:
+        last_shown = src_index[min(bounds[-1] + step, n_out) - 1]
+        bounds.append(int(np.searchsorted(src_index, last_shown, side="right")))
+    blocks = iter(zip(bounds[:-1], bounds[1:]))
+    claim = threading.Lock()
 
-    def frame_end(k: int) -> int:
-        # One past the last capture that shows the display frame capture k - 1 shows.
-        return int(np.searchsorted(src_index, src_index[k - 1], side="right"))
-
-    def walk(start: int, stop: int) -> None:
-        # One Philox per span, reset to key (seed, k) and counter 0 before
+    def walk() -> None:
+        # One Philox per thread, reset to key (seed, k) and counter 0 before
         # capture k draws, so each capture reads its own stream from the start,
         # as a fresh generator would. A uint64 key keeps big seeds exact.
         philox = np.random.Philox(key=np.array([params.rng_seed, 0], dtype=np.uint64))
         rng = np.random.Generator(philox)
         fresh = philox.state
         key = fresh["state"]["key"]
-        while start < stop:
-            end = frame_end(min(start + step, stop))
+        while True:
+            # A thread takes the next block when it is free, so a thread the
+            # host stalls holds up one block, not a share of the call.
+            with claim:
+                start, end = next(blocks, (n_out, n_out))
+            if start == n_out:
+                return
             shown, capture_of = np.unique(src_index[start:end], return_inverse=True)
             unit = to_unit(source[shown].transpose(1, 2, 0, 3).reshape(n_pix, -1))
             warped = ((warp @ unit) * gain).reshape(height, width, -1, 3).transpose(2, 0, 1, 3)
@@ -232,20 +245,16 @@ def transmit(frames: np.ndarray, display_fps: float, params: ChannelParams,
                     philox.state = fresh
                     frame += rng.normal(0.0, params.noise_sigma, size=frame.shape)
             captured[start:end] = quantize_unit(observed, params.quantizer_bits)
-            start = end
 
-    # Spans of captures, one per core and no more than blocks, cut on display-
-    # frame boundaries. The draws and the warp run without the GIL, which pays
-    # once a capture holds 2^10 values; the bytes do not depend on the cut.
-    n_spans = min(_CORES, -(-n_out // step)) if 3 * n_pix >= 1 << 10 else 1
-    cuts = sorted({0, n_out, *(frame_end(n_out * i // n_spans) for i in range(1, n_spans))})
-    first, *rest = zip(cuts[:-1], cuts[1:])
-    if not rest:
-        walk(*first)
+    # One thread per core and no more threads than blocks. The draws and the
+    # warp run without the GIL; the bytes do not depend on the thread count.
+    n_threads = min(_CORES, len(bounds) - 1) if 3 * n_pix >= _SPLIT_MIN_VALUES else 1
+    if n_threads == 1:
+        walk()
         return captured
-    with ThreadPoolExecutor(len(rest)) as pool:
-        futures = [pool.submit(walk, *span) for span in rest]
-        walk(*first)
+    with ThreadPoolExecutor(n_threads - 1) as pool:
+        futures = [pool.submit(walk) for _ in range(n_threads - 1)]
+        walk()
         for future in futures:
             future.result()
     return captured

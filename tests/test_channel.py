@@ -328,8 +328,8 @@ BLOCK_WALK_MATRICES = {
 
 
 def with_workers(cases):
-    """Cross cases with forced span counts 1, 2, 3 and 8; the one-span case,
-    which is how these tests ran before transmit split its captures, keeps
+    """Cross cases with forced thread counts 1, 2, 3 and 8; the one-thread
+    case, which is how these tests ran before transmit used threads, keeps
     the id it had then."""
     return [pytest.param(*case, workers,
                          id="-".join(map(str, case)) + ("" if workers == 1
@@ -340,7 +340,7 @@ def with_workers(cases):
 @functools.cache
 def reference_digest(clip, scaled, camera_fps, matrix, bits, noise, seed):
     """SHA-256, dtype and shape of transmit_reference's output, computed once
-    for all forced span counts."""
+    for all forced thread counts."""
     frames = getattr(TestBlockWalk, clip)
     params = ChannelParams(geometry=ChannelGeometry(distance_m=1.4), noise_sigma=noise,
                            camera_fps=camera_fps, affine=BLOCK_WALK_MATRICES[matrix],
@@ -350,9 +350,11 @@ def reference_digest(clip, scaled, camera_fps, matrix, bits, noise, seed):
 
 
 class TestBlockWalk:
-    """transmit walks the clip in blocks of captures, split into spans that run
-    on separate cores; the per-capture loop it replaced (tests/reference.py)
-    must give the same bytes at any span count."""
+    """transmit walks the clip in blocks of captures, which threads on separate
+    cores take one at a time; the per-capture loop it replaced
+    (tests/reference.py) must give the same bytes at any thread count. The
+    tests that force a thread count lower the frame size from which transmit
+    uses threads, so that the small clips below run in threads."""
 
     # 120 display frames of 24x32 at 24-60 fps give 96-240 captures: 4 to 9
     # blocks of 28 captures (2^16 values). 8 workers outnumber the blocks at 24 fps.
@@ -365,6 +367,7 @@ class TestBlockWalk:
     @pytest.mark.parametrize("bits", [8, 16])
     def test_matches_per_capture_loop(self, monkeypatch, camera_fps, workers, matrix, bits):
         monkeypatch.setattr(channel_module, "_CORES", workers)
+        monkeypatch.setattr(channel_module, "_SPLIT_MIN_VALUES", 0)
         # The largest 64-bit seed checks the rekeyed stream's uint64 key.
         for noise, seed in ((0.0, 17), (0.01, 17), (0.01, 2**64 - 1)):
             for scaled in (False, True):
@@ -395,8 +398,7 @@ class TestBlockWalk:
                              with_workers([("LARGE", 120.0), ("CLIP", 45.0)]))
     def test_each_shown_frame_converted_once(self, monkeypatch, clip, camera_fps, workers):
         # At 45 fps a display frame spans 1.5 captures, so fixed blocks of 28
-        # captures, or spans cut off a frame boundary, would split some display
-        # frames between two blocks.
+        # captures would split some display frames between two blocks.
         frames = getattr(self, clip)
         params = ChannelParams(noise_sigma=0.01, camera_fps=camera_fps,
                                affine=BLOCK_WALK_MATRICES["perspective"])
@@ -408,6 +410,7 @@ class TestBlockWalk:
             return to_unit(pixels)
 
         monkeypatch.setattr(channel_module, "_CORES", workers)
+        monkeypatch.setattr(channel_module, "_SPLIT_MIN_VALUES", 0)
         monkeypatch.setattr(channel_module, "to_unit", counting_to_unit)
         assert transmit(frames, 30.0, params).tobytes() == expected.tobytes()
         # The camera outruns the 30 fps display, so every display frame is shown.
@@ -423,22 +426,27 @@ class TestBlockWalk:
         monkeypatch.setattr(channel_module, "_CORES", 8)
         monkeypatch.setattr(channel_module, "ThreadPoolExecutor", counting_executor)
         params = ChannelParams(noise_sigma=0.01, camera_fps=24.0, rng_seed=5)
-        # 16x12 frames hold 576 values, under the 2^10 at which spans pay.
+        # 16x12 and 24x32 frames hold 576 and 2304 values, under the 2^16 from
+        # which transmit uses threads; 96 captures of 24x32 are 4 blocks.
         small = make_carrier("gradient", 16, 12, 300)
-        assert transmit(small, 30.0, params).tobytes() == \
-            transmit_reference(small, 30.0, params).tobytes()
-        # 20 captures of 24x32 fit in one block of 28.
-        assert transmit(self.CLIP[:25], 30.0, params).tobytes() == \
-            transmit_reference(self.CLIP[:25], 30.0, params).tobytes()
+        for clip in (small, self.CLIP):
+            assert transmit(clip, 30.0, params).tobytes() == \
+                transmit_reference(clip, 30.0, params).tobytes()
+        # One capture of 160x140 is one block.
+        assert transmit(self.LARGE[:1], 30.0, params).tobytes() == \
+            transmit_reference(self.LARGE[:1], 30.0, params).tobytes()
         assert opened == []
-        # 96 captures are 4 blocks: 4 spans, of which the caller walks one.
-        transmit(self.CLIP, 30.0, params)
+        # 4 captures of 160x140 at the display's 24 fps are 4 blocks: 4 threads,
+        # of which the caller is one.
+        transmit(self.LARGE, 24.0, params)
         assert opened == [3]
 
     def test_spans_hold_under_rapid_thread_switches(self, monkeypatch):
-        # Spans share the output array and the warp; switching threads every
-        # microsecond must not let one span's writes or draws reach another's.
+        # Threads share the output array, the warp and the blocks left to take;
+        # switching threads every microsecond must not let one thread's writes
+        # or draws reach another's blocks, nor two threads take one block.
         monkeypatch.setattr(channel_module, "_CORES", 8)
+        monkeypatch.setattr(channel_module, "_SPLIT_MIN_VALUES", 0)
         params = ChannelParams(noise_sigma=0.01, camera_fps=45.0, rng_seed=3,
                                affine=BLOCK_WALK_MATRICES["perspective"])
         expected = transmit_reference(self.CLIP, 30.0, params)
@@ -457,14 +465,41 @@ class TestBlockWalk:
             return quantize_unit(frames, bits)
 
         monkeypatch.setattr(channel_module, "_CORES", 2)
+        monkeypatch.setattr(channel_module, "_SPLIT_MIN_VALUES", 0)
         monkeypatch.setattr(channel_module, "quantize_unit", failing_off_the_calling_thread)
         with pytest.raises(RuntimeError, match="worker failed"):
             transmit(self.CLIP, 30.0, ChannelParams())
 
-    def test_one_noise_generator_per_call(self, monkeypatch):
-        # Two spans, whatever the host: a generator per capture would build 40
-        # for the short call and 400 for the long one.
+    def test_free_thread_takes_the_blocks_of_a_stalled_one(self, monkeypatch):
+        # While the worker sits on the first block it took, the caller takes
+        # every other block; a split fixed in advance would leave the worker
+        # its share and fail after the 10-s wait.
         monkeypatch.setattr(channel_module, "_CORES", 2)
+        monkeypatch.setattr(channel_module, "_SPLIT_MIN_VALUES", 0)
+        params = ChannelParams(noise_sigma=0.01, camera_fps=30.0, rng_seed=4)
+        caller_blocks = []
+        others_done = threading.Event()
+
+        def quantize_after_stall(frames, bits):
+            if threading.current_thread() is threading.main_thread():
+                caller_blocks.append(len(frames))
+                if len(caller_blocks) == 4:
+                    others_done.set()
+            else:
+                others_done.wait(timeout=10)
+            return quantize_unit(frames, bits)
+
+        monkeypatch.setattr(channel_module, "quantize_unit", quantize_after_stall)
+        # 120 captures of 24x32 are 5 blocks of up to 28 captures.
+        out = transmit(self.CLIP, 30.0, params)
+        assert len(caller_blocks) >= 4
+        assert out.tobytes() == transmit_reference(self.CLIP, 30.0, params).tobytes()
+
+    def test_one_noise_generator_per_call(self, monkeypatch):
+        # Two threads, whatever the host: a generator per capture would build
+        # 40 for the short call and 400 for the long one.
+        monkeypatch.setattr(channel_module, "_CORES", 2)
+        monkeypatch.setattr(channel_module, "_SPLIT_MIN_VALUES", 0)
         params = ChannelParams(noise_sigma=0.01, camera_fps=60.0, rng_seed=9)
         expected = transmit_reference(self.CLIP[:20], 30.0, params)
         philox = np.random.Philox
