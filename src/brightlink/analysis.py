@@ -9,7 +9,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .channel import ChannelParams, transmit
-from .core import ModulationParams, as_bits
+from .core import ModulationParams, as_bits, as_seed
 from .decoder import central_windows, decode_frames
 from .encoder import encode_stream
 
@@ -44,7 +44,7 @@ class BerModel:
 
     @classmethod
     def from_levels(cls, mu0: float, mu1: float, sigma: float) -> "BerModel":
-        """Model straight from decoder estimates."""
+        """Same as the constructor; kept for callers that still use it."""
         return cls(mu0=mu0, mu1=mu1, sigma=sigma)
 
 
@@ -64,13 +64,10 @@ def monte_carlo_ber(model: BerModel, n_symbols: int, seed: int = 0) -> tuple[flo
     if n_symbols < MC_MIN_SYMBOLS:
         raise ValueError(f"n_symbols must be at least {MC_MIN_SYMBOLS} for a "
                          f"meaningful estimate, got {n_symbols}")
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must fit in 64 bits, got {seed}")
+    seed = as_seed(seed, "seed")
     errors = 0
-    done = 0
-    chunk_index = 0
     mu = np.array([model.mu0, model.mu1])
-    while done < n_symbols:
+    for chunk_index, done in enumerate(range(0, n_symbols, _MC_CHUNK)):
         n = min(_MC_CHUNK, n_symbols - done)
         key = np.array([seed, chunk_index], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
@@ -78,8 +75,6 @@ def monte_carlo_ber(model: BerModel, n_symbols: int, seed: int = 0) -> tuple[flo
         amplitude = mu[sent] + model.sigma * rng.standard_normal(n)
         decided = (amplitude >= model.threshold).astype(np.int64)
         errors += int(np.count_nonzero(decided != sent))
-        done += n
-        chunk_index += 1
     rate = errors / n_symbols
     halfwidth = 3.0 * math.sqrt(rate * (1.0 - rate) / n_symbols)
     return rate, halfwidth

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import as_rate
+
 MAGIC = b"BFRS"
 VERSION = 1
 _HEADER = struct.Struct("<4sHIIIII")
@@ -30,9 +32,7 @@ def write_bfrs(path, frames: np.ndarray, fps: Fraction) -> None:
         raise ValueError(f"frames must have shape (n, h, w, 3), got {arr.shape}")
     if arr.dtype != np.uint8:
         raise ValueError(f"BFRS stores uint8 samples, got dtype {arr.dtype}")
-    fps = Fraction(fps)
-    if fps <= 0:
-        raise ValueError(f"fps must be positive, got {fps}")
+    fps = as_rate(fps, "fps")
     n, h, w, _ = arr.shape
     for label, value in (("width", w), ("height", h), ("frame count", n),
                          ("fps numerator", fps.numerator),

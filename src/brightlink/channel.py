@@ -7,11 +7,13 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 
 import numpy as np
 from scipy import sparse
 
-from .core import quantize_unit, to_unit, validate_frames
+from .core import (as_rate, as_seed, floor_progression, quantize_unit, to_unit,
+                   validate_frames)
 
 # CPUs this process may run on: the most threads one transmit call uses.
 _CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -49,15 +51,12 @@ class ChannelGeometry:
     aperture_area_m2: float = 2.0e-5
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.distance_m) or self.distance_m <= 0.0:
-            raise ValueError(f"distance_m must be positive, got {self.distance_m}")
+        for label in ("distance_m", "display_area_m2", "aperture_area_m2"):
+            if not 0.0 < (value := getattr(self, label)) < math.inf:
+                raise ValueError(f"{label} must be positive, got {value}")
         for label, angle in (("phi_rad", self.phi_rad), ("theta_rad", self.theta_rad)):
             if not 0.0 <= angle < math.pi / 2:
                 raise ValueError(f"{label} must lie in [0, pi/2), got {angle}")
-        for label, area in (("display_area_m2", self.display_area_m2),
-                            ("aperture_area_m2", self.aperture_area_m2)):
-            if not math.isfinite(area) or area <= 0.0:
-                raise ValueError(f"{label} must be positive, got {area}")
 
 
 def geometric_gain(geometry: ChannelGeometry) -> float:
@@ -92,14 +91,14 @@ class ChannelParams:
     affine is the forward 3x3 homography mapping display pixel coordinates to
     sensor pixel coordinates. noise_sigma is the per-pixel Gaussian noise level
     in unit-range amplitude. quantizer_bits sets the sensor bit depth; 8 yields
-    uint8 output, anything else a float32 grid. rng_seed drives the per-frame
-    noise generator.
+    uint8 output, anything else a float32 grid. rng_seed, an integer in
+    [0, 2**64), keys the per-frame noise.
     """
 
     geometry: ChannelGeometry = ChannelGeometry()
     noise_sigma: float = 0.0
     affine: np.ndarray = field(default_factory=identity_homography)
-    camera_fps: float = 30.0
+    camera_fps: Fraction = Fraction(30)
     quantizer_bits: int = 8
     rng_seed: int = 0
 
@@ -107,13 +106,11 @@ class ChannelParams:
         if not math.isfinite(self.noise_sigma) or self.noise_sigma < 0.0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         object.__setattr__(self, "affine", check_homography(self.affine, "affine"))
-        if not math.isfinite(self.camera_fps) or self.camera_fps <= 0.0:
-            raise ValueError(f"camera_fps must be positive, got {self.camera_fps}")
+        object.__setattr__(self, "camera_fps", as_rate(self.camera_fps, "camera_fps"))
         if not isinstance(self.quantizer_bits, int) or not 1 <= self.quantizer_bits <= 30:
             raise ValueError(f"quantizer_bits must be an int in [1, 30], "
                              f"got {self.quantizer_bits}")
-        if not 0 <= self.rng_seed < 2**64:
-            raise ValueError(f"rng_seed must fit in 64 bits, got {self.rng_seed}")
+        object.__setattr__(self, "rng_seed", as_seed(self.rng_seed, "rng_seed"))
 
 
 class SamplingRateError(ValueError):
@@ -140,9 +137,7 @@ def resampling_map(pull: np.ndarray, height: int,
     from outside read as black.
     """
     ys, xs = np.mgrid[0:height, 0:width]
-    dest = np.column_stack([xs.ravel().astype(np.float64),
-                            ys.ravel().astype(np.float64),
-                            np.ones(height * width)])
+    dest = np.column_stack([xs.ravel(), ys.ravel(), np.ones(height * width)])
     projected = dest @ pull.T
     w = projected[:, 2]
     if np.any(np.abs(w) < 1e-12):
@@ -167,16 +162,16 @@ def resampling_map(pull: np.ndarray, height: int,
     return index, weight
 
 
-def transmit(frames: np.ndarray, display_fps: float, params: ChannelParams,
-             symbol_rate: float | None = None) -> np.ndarray:
+def transmit(frames: np.ndarray, display_fps: Fraction, params: ChannelParams,
+             symbol_rate: Fraction | None = None) -> np.ndarray:
     """Push a display clip through the optical channel to sensor frames.
 
-    Each capture is the display frame shown at its instant (nearest in time),
-    warped through the homography, scaled by the normalized geometric gain,
-    plus white Gaussian noise keyed by (seed, capture index), quantized to the
-    sensor bit depth. The warp is one sparse operator per call, applied to
-    blocks of captures that end on display-frame boundaries: one product for
-    the display frames a block shows, so each shown frame is warped once.
+    Each capture is the display frame on screen at its instant (the later one
+    on a frame boundary; rates are exact), warped through the homography,
+    scaled by the normalized geometric gain, plus white Gaussian noise keyed
+    by (seed, capture index), quantized to the sensor bit depth. The warp is
+    one sparse operator per call, applied to blocks of captures that end on
+    display-frame boundaries, so each shown frame is warped once.
     With frames of 2^16 values or more, one thread per CPU takes the blocks
     one at a time.
 
@@ -185,20 +180,17 @@ def transmit(frames: np.ndarray, display_fps: float, params: ChannelParams,
     entirely and decoding is hopeless.
     """
     source = validate_frames(frames)
-    if not math.isfinite(display_fps) or display_fps <= 0.0:
-        raise ValueError(f"display_fps must be positive, got {display_fps}")
-    if symbol_rate is not None:
-        if not math.isfinite(symbol_rate) or symbol_rate <= 0.0:
-            raise ValueError(f"symbol_rate must be positive, got {symbol_rate}")
-        if params.camera_fps < 2.0 * symbol_rate:
-            raise SamplingRateError(
-                f"camera_fps {params.camera_fps} is below twice the symbol rate "
-                f"{symbol_rate}; raise the camera rate or slow the symbols")
+    # Display frames per capture: capture k, at (k + 1/2) / camera_fps, shows
+    # display frame floor((k + 1/2) ratio).
+    ratio = as_rate(display_fps, "display_fps") / params.camera_fps
+    if symbol_rate is not None and params.camera_fps < 2 * as_rate(symbol_rate, "symbol_rate"):
+        raise SamplingRateError(
+            f"camera_fps {params.camera_fps} is below twice the symbol rate "
+            f"{symbol_rate}; raise the camera rate or slow the symbols")
 
     n_in, height, width = source.shape[:3]
-    n_out = max(1, round(n_in / display_fps * params.camera_fps))
-    capture_times = (np.arange(n_out) + 0.5) / params.camera_fps
-    src_index = np.minimum((capture_times * display_fps).astype(np.int64), n_in - 1)
+    n_out = max(1, round(n_in / ratio))
+    src_index = np.minimum(floor_progression(n_out, ratio / 2, ratio), n_in - 1)
 
     gain = normalized_gain(params.geometry)
     # Each row keeps its 4 corners in order, zero weights included, so a pixel

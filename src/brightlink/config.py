@@ -37,8 +37,6 @@ class RunConfig:
     carrier_height: int
     region: tuple[int, int, int, int] | None
     reference_payload: Path | None
-    display_fps: Fraction
-    camera_fps: Fraction
 
 
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False,
@@ -69,9 +67,7 @@ def _take(entries: dict[str, str], key: str, parse, default):
     raw = entries.pop(key)
     try:
         return parse(raw)
-    except ConfigError:
-        raise
-    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"{key}: cannot parse {raw!r} ({exc})") from None
 
 
@@ -83,8 +79,10 @@ def _parse_bool(raw: str) -> bool:
 
 
 def _parse_rate(raw: str) -> Fraction:
+    """A decimal or exact rational like 30000/1001 that a BFRS header can store."""
     rate = Fraction(raw)
-    float(rate)  # raises OverflowError for a rate beyond the float range
+    if max(abs(rate.numerator), rate.denominator) > 0xFFFFFFFF:
+        raise ValueError(f"{rate} does not fit the 32-bit rate fields of a BFRS header")
     return rate
 
 
@@ -105,9 +103,6 @@ def _parse_region(raw: str) -> tuple[int, int, int, int]:
 def build_config(entries: dict[str, str]) -> RunConfig:
     """Assemble a RunConfig from parsed entries, applying defaults."""
     entries = dict(entries)
-    # Rates accept decimals and exact rationals like 30000/1001.
-    display_fps = _take(entries, "modulation.frame_rate", _parse_rate, Fraction(30))
-    camera_fps = _take(entries, "channel.camera_fps", _parse_rate, Fraction(30))
     try:
         modulation = ModulationParams(
             m=_take(entries, "modulation.m", int, 2),
@@ -115,7 +110,7 @@ def build_config(entries: dict[str, str]) -> RunConfig:
                                          int, 6),
             depth=_take(entries, "modulation.depth", float, 0.03),
             channel=_take(entries, "modulation.channel", Color.parse, Color.RED),
-            frame_rate=float(display_fps),
+            frame_rate=_take(entries, "modulation.frame_rate", _parse_rate, Fraction(30)),
             allow_visible_depth=_take(entries, "modulation.allow_visible_depth",
                                       _parse_bool, False),
         )
@@ -131,12 +126,10 @@ def build_config(entries: dict[str, str]) -> RunConfig:
             noise_sigma=_take(entries, "channel.noise_sigma", float, 0.0),
             affine=_take(entries, "channel.affine", _parse_matrix,
                          identity_homography()),
-            camera_fps=float(camera_fps),
+            camera_fps=_take(entries, "channel.camera_fps", _parse_rate, Fraction(30)),
             quantizer_bits=_take(entries, "channel.quantizer_bits", int, 8),
             rng_seed=_take(entries, "channel.seed", int, 0),
         )
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
@@ -151,8 +144,7 @@ def build_config(entries: dict[str, str]) -> RunConfig:
     return RunConfig(modulation=modulation, channel=channel,
                      carrier_name=carrier_name, carrier_width=carrier_width,
                      carrier_height=carrier_height, region=region,
-                     reference_payload=reference,
-                     display_fps=display_fps, camera_fps=camera_fps)
+                     reference_payload=reference)
 
 
 def load_config(path) -> RunConfig:

@@ -3,14 +3,40 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import IntEnum
+from fractions import Fraction
 
 import numpy as np
 
 # Brightness changes above this fraction are plainly visible on most panels.
 # Larger depths are refused unless the caller explicitly opts in.
 MAX_SAFE_DEPTH = 0.1
+
+
+def as_rate(value, name: str) -> Fraction:
+    """value as an exact positive Fraction. Floats convert exactly, so the float
+    30000/1001 is not the NTSC rate Fraction(30000, 1001)."""
+    if isinstance(value, (numbers.Rational, float)) and 0 < value < math.inf:
+        return Fraction(int(value) if isinstance(value, numbers.Integral) else value)
+    raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def as_seed(seed, name: str) -> int:
+    """A noise seed as a Python int; only integers in [0, 2**64) are seeds."""
+    if isinstance(seed, numbers.Integral) and 0 <= seed < 2**64:
+        return int(seed)
+    raise ValueError(f"{name} must be an integer in [0, 2**64), got {seed!r}")
+
+
+def floor_progression(n: int, first: Fraction, step: Fraction) -> np.ndarray:
+    """floor(first + k * step) for k = 0 .. n-1, exactly, as int64; the terms are
+    Python ints once they reach 2**62 (a float rate's denominator is near 2**52)."""
+    den = math.lcm(first.denominator, step.denominator)
+    a, b = (x.numerator * (den // x.denominator) for x in (first, step))
+    k = np.arange(n, dtype=np.int64 if abs(a) + abs(b) * n + den < 1 << 62 else object)
+    return ((a + b * k) // den).astype(np.int64, copy=False)
 
 
 class Color(IntEnum):
@@ -44,7 +70,7 @@ class ModulationParams:
     channel:
         which color plane carries the modulation.
     frame_rate:
-        display refresh rate in frames per second.
+        display refresh rate in frames per second, held as an exact Fraction.
     allow_visible_depth:
         permit depth > MAX_SAFE_DEPTH (for experiments only).
     """
@@ -53,7 +79,7 @@ class ModulationParams:
     symbol_duration_frames: int = 6
     depth: float = 0.03
     channel: Color = Color.RED
-    frame_rate: float = 30.0
+    frame_rate: Fraction = Fraction(30)
     allow_visible_depth: bool = False
 
     def __post_init__(self) -> None:
@@ -70,30 +96,29 @@ class ModulationParams:
                              "to override")
         if not isinstance(self.channel, Color):
             raise ValueError(f"channel must be a Color, got {self.channel!r}")
-        if not math.isfinite(self.frame_rate) or self.frame_rate <= 0.0:
-            raise ValueError(f"frame_rate must be positive, got {self.frame_rate}")
+        object.__setattr__(self, "frame_rate", as_rate(self.frame_rate, "frame_rate"))
 
     @property
     def bits_per_symbol(self) -> int:
         return self.m.bit_length() - 1
 
     @property
-    def symbol_rate(self) -> float:
+    def symbol_rate(self) -> Fraction:
         """Symbols per second."""
         return self.frame_rate / self.symbol_duration_frames
 
     @property
-    def bit_rate(self) -> float:
+    def bit_rate(self) -> Fraction:
         """Bits per second."""
         return self.bits_per_symbol * self.symbol_rate
 
 
 @dataclass(frozen=True)
 class SymbolSeries:
-    """A sampled amplitude trace with its sample rate in samples per second."""
+    """A sampled amplitude trace with its exact sample rate in samples per second."""
 
     values: np.ndarray
-    sample_rate: float
+    sample_rate: Fraction
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
@@ -101,9 +126,8 @@ class SymbolSeries:
             raise ValueError(f"values must be one-dimensional, got shape {values.shape}")
         if values.size and not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
-        if not math.isfinite(self.sample_rate) or self.sample_rate <= 0.0:
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "sample_rate", as_rate(self.sample_rate, "sample_rate"))
 
     def __len__(self) -> int:
         return self.values.size

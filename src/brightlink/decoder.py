@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -12,6 +13,8 @@ from .core import (
     Color,
     ModulationParams,
     SymbolSeries,
+    as_rate,
+    floor_progression,
     symbols_to_bits,
     to_unit,
     validate_frames,
@@ -41,7 +44,11 @@ class FramingError(ValueError):
 @dataclass(frozen=True)
 class SyncResult:
     offset: int
-    frames_per_symbol: float
+    frames_per_symbol: Fraction
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "frames_per_symbol",
+                           as_rate(self.frames_per_symbol, "frames_per_symbol"))
 
 
 @dataclass(frozen=True)
@@ -74,7 +81,7 @@ class DecodeReport:
 def extract_signal(frames: np.ndarray, homography: np.ndarray | None = None,
                    region: tuple[int, int, int, int] | None = None,
                    channel: Color = Color.RED,
-                   sample_rate: float = 1.0) -> SymbolSeries:
+                   sample_rate: Fraction = Fraction(1)) -> SymbolSeries:
     """Reduce captured frames to one amplitude sample per frame.
 
     homography is the forward display-to-sensor mapping the channel applied;
@@ -104,13 +111,13 @@ def extract_signal(frames: np.ndarray, homography: np.ndarray | None = None,
     return SymbolSeries(np.concatenate(values), sample_rate)
 
 
-def received_frames_per_symbol(params: ModulationParams, camera_fps: float) -> float:
-    """Capture frames spanned by one symbol."""
-    return camera_fps * params.symbol_duration_frames / params.frame_rate
+def received_frames_per_symbol(params: ModulationParams, camera_fps: Fraction) -> Fraction:
+    """Capture frames spanned by one symbol, exactly."""
+    return as_rate(camera_fps, "camera_fps") / params.symbol_rate
 
 
 def synchronize(series: SymbolSeries, params: ModulationParams,
-                camera_fps: float) -> SyncResult:
+                camera_fps: Fraction) -> SyncResult:
     """Locate the preamble by sliding a +/-1 alternating template over the trace.
 
     Candidate offsets correlate within SYNC_PEAK_TOLERANCE of the best Pearson
@@ -128,7 +135,7 @@ def synchronize(series: SymbolSeries, params: ModulationParams,
 
     # Sample k sits at time (k + 0.5) capture periods, hence the half-sample
     # shift when assigning samples to template symbols.
-    symbol_of = np.floor((np.arange(template_len) + 0.5) / r).astype(np.int64)
+    symbol_of = floor_progression(template_len, 1 / (2 * r), 1 / r)
     template = np.where(symbol_of % 2 == 0, 1.0, -1.0)
     t_centered = template - template.mean()
     t_norm = float(np.sqrt(np.sum(t_centered**2)))
@@ -172,20 +179,19 @@ def central_windows(sync: SyncResult, n_samples: int,
     Edge samples may straddle a display-frame boundary, so decisions use the
     middle 50 percent of each symbol period, or the nearest-center sample when
     that rounds to nothing. By default the table ends with the first symbol
-    that starts past the end of the trace.
+    that starts past the end of the trace. The bounds are exact.
     """
     r = sync.frames_per_symbol
     if n_symbols is None:
         n_symbols = max(0, math.ceil((n_samples - sync.offset) / r)) + 1
-    symbol = np.arange(n_symbols)
-    start = np.ceil(sync.offset + (symbol + 0.25) * r)
-    stop = np.ceil(sync.offset + (symbol + 0.75) * r)
-    center = np.floor(sync.offset + (symbol + 0.5) * r)
+    # Symbol k's central samples lie in offset + (k + [1/4, 3/4]) r; ceil(x) = -floor(-x).
+    start = -floor_progression(n_symbols, -(sync.offset + r / 4), -r)
+    stop = -floor_progression(n_symbols, -(sync.offset + 3 * r / 4), -r)
+    center = floor_progression(n_symbols, sync.offset + r / 2, r)
     empty = stop <= start
     start = np.where(empty, center, start)
     stop = np.where(empty, center + 1, stop)
-    return (np.clip(start, 0, n_samples).astype(np.int64),
-            np.clip(stop, 0, n_samples).astype(np.int64))
+    return np.clip(start, 0, n_samples), np.clip(stop, 0, n_samples)
 
 
 def _window_means(values: np.ndarray, start: np.ndarray,
@@ -286,7 +292,7 @@ def bit_error_rate(decoded: np.ndarray, reference: np.ndarray) -> float:
     return errors / n
 
 
-def decode_frames(frames: np.ndarray, params: ModulationParams, camera_fps: float,
+def decode_frames(frames: np.ndarray, params: ModulationParams, camera_fps: Fraction,
                   homography: np.ndarray | None = None,
                   region: tuple[int, int, int, int] | None = None,
                   reference_payload: np.ndarray | None = None) -> DecodeReport:

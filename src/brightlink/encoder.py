@@ -48,10 +48,7 @@ def preamble_bits(params: ModulationParams) -> np.ndarray:
 
 def bits_to_bytes(bits) -> bytes:
     """Pack bits into bytes, most significant bit first, zero-padding the tail."""
-    arr = as_bits(bits)
-    if arr.size == 0:
-        return b""
-    return np.packbits(arr).tobytes()
+    return np.packbits(as_bits(bits)).tobytes()
 
 
 def crc32_bits(payload_bits) -> np.ndarray:

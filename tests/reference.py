@@ -10,6 +10,7 @@ resampling map, gain and quantizer, which have oracles of their own here.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import quad
@@ -143,19 +144,20 @@ def bilinear_pull_reference(image: np.ndarray, pull) -> np.ndarray:
     return out
 
 
-def central_window_reference(offset: int, r: float, symbol: int,
-                             n_samples: int) -> np.ndarray:
+def central_window_reference(offset: int, r, symbol: int, n_samples: int) -> np.ndarray:
     """Sample indices in the middle half of one symbol period, one symbol at a time.
 
     Indices run over [ceil(offset + (symbol + 1/4) r), ceil(offset + (symbol + 3/4) r));
     an empty range falls back to the single sample floor(offset + (symbol + 1/2) r).
-    Indices outside the trace are dropped.
+    Indices outside the trace are dropped. The bounds are exact rationals; a
+    float r stands for the binary value it holds.
     """
-    start = offset + (symbol + 0.25) * r
-    stop = offset + (symbol + 0.75) * r
+    r = Fraction(r)
+    start = offset + (symbol + Fraction(1, 4)) * r
+    stop = offset + (symbol + Fraction(3, 4)) * r
     indices = list(range(math.ceil(start), math.ceil(stop)))
     if not indices:
-        indices = [math.floor(offset + (symbol + 0.5) * r)]
+        indices = [math.floor(offset + (symbol + Fraction(1, 2)) * r)]
     return np.array([i for i in indices if 0 <= i < n_samples], dtype=np.int64)
 
 
@@ -176,22 +178,47 @@ def sliding_correlation_reference(values, template) -> np.ndarray:
     return corr
 
 
-def transmit_reference(frames: np.ndarray, display_fps: float, params) -> np.ndarray:
+def near_integer(x) -> np.ndarray:
+    """Where float results lie within 1e-9 of an integer: ties that float
+    rounding may resolve either way, which exact arithmetic settles."""
+    return np.abs(x - np.round(x)) < 1e-9
+
+
+def shown_frame_reference(k: int, display_fps, camera_fps, n_in: int) -> int:
+    """Display frame on screen at capture k's instant (k + 1/2) / camera_fps.
+
+    Python integers throughout: frame floor((2k + 1) display / (2 camera)),
+    so an instant exactly on a frame boundary shows the later frame. Floats
+    stand for the binary values they hold.
+    """
+    display, camera = Fraction(display_fps), Fraction(camera_fps)
+    numerator = (2 * k + 1) * display.numerator * camera.denominator
+    denominator = 2 * display.denominator * camera.numerator
+    return min(numerator // denominator, n_in - 1)
+
+
+def capture_count_reference(n_in: int, display_fps, camera_fps) -> int:
+    """Captures of an n_in-frame clip: its duration times the camera rate, rounded
+    half to even, and at least one."""
+    return max(1, round(n_in * Fraction(camera_fps) / Fraction(display_fps)))
+
+
+def transmit_reference(frames: np.ndarray, display_fps, params) -> np.ndarray:
     """Capture a clip one frame at a time, as the channel did before its block walk.
 
     It keeps a one-frame cache of the last warped display frame and skips the
-    warp for an identity homography. Each capture k adds noise from its own
-    Philox stream keyed (seed, k).
+    warp for an identity homography. Each capture k shows the display frame
+    of shown_frame_reference and adds noise from its own Philox stream keyed
+    (seed, k).
     """
     from brightlink.channel import normalized_gain, resampling_map
     from brightlink.core import quantize_unit, to_unit
 
     source = np.asarray(frames)
     n_in = source.shape[0]
-    duration = n_in / display_fps
-    n_out = max(1, round(duration * params.camera_fps))
-    capture_times = (np.arange(n_out) + 0.5) / params.camera_fps
-    src_index = np.minimum((capture_times * display_fps).astype(np.int64), n_in - 1)
+    n_out = capture_count_reference(n_in, display_fps, params.camera_fps)
+    src_index = [shown_frame_reference(k, display_fps, params.camera_fps, n_in)
+                 for k in range(n_out)]
 
     gain = normalized_gain(params.geometry)
     # An identity mapping resamples every pixel from itself; skip the map.

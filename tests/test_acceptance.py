@@ -248,7 +248,7 @@ def test_criterion_3_monte_carlo_matches_q(ber_run, acceptance_log):
         for q in Q_POINTS:
             theory = q_function(q)
             halfwidth = 3.0 * math.sqrt(theory * (1.0 - theory) / MC_SYMBOLS)
-            model = BerModel.from_levels(0.0, 1.0, 1.0 / (2.0 * q))
+            model = BerModel(0.0, 1.0, 1.0 / (2.0 * q))
             hits = 0
             for seed in range(MC_SEEDS):
                 rate, _ = monte_carlo_ber(model, MC_SYMBOLS, seed=seed)

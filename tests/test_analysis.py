@@ -71,32 +71,43 @@ class TestTheoreticalBer:
            sigma=st.floats(0.01, 2.0))
     def test_midpoint_threshold_matches_margin_formula(self, margin, mu0, sigma):
         mu1 = mu0 + 2.0 * margin * sigma
-        model = BerModel.from_levels(mu0, mu1, sigma)
+        model = BerModel(mu0, mu1, sigma)
         assert theoretical_ber(model) == pytest.approx(q_function(margin),
                                                        rel=1e-9)
 
 
 class TestMonteCarloBer:
     def test_requires_enough_symbols(self):
-        model = BerModel.from_levels(0.0, 1.0, 0.25)
+        model = BerModel(0.0, 1.0, 0.25)
         with pytest.raises(ValueError, match="n_symbols"):
             monte_carlo_ber(model, 9_999)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_rejects_seed_outside_64_bits(self, seed):
-        model = BerModel.from_levels(0.0, 1.0, 0.25)
+        model = BerModel(0.0, 1.0, 0.25)
         with pytest.raises(ValueError, match="seed"):
             monte_carlo_ber(model, 10_000, seed=seed)
 
+    @pytest.mark.parametrize("seed", [1.5, np.float64(1.0)])
+    def test_rejects_non_integer_seeds(self, seed):
+        # The uint64 chunk key would truncate a float seed.
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            monte_carlo_ber(BerModel(0.0, 1.0, 0.25), 10_000, seed=seed)
+
+    def test_numpy_integer_seed_matches_the_python_int(self):
+        model = BerModel(0.0, 1.0, 0.25)
+        assert monte_carlo_ber(model, 10_000, seed=np.uint64(2**64 - 1)) == \
+            monte_carlo_ber(model, 10_000, seed=2**64 - 1)
+
     def test_deterministic_per_seed(self):
-        model = BerModel.from_levels(0.0, 1.0, 0.25)
+        model = BerModel(0.0, 1.0, 0.25)
         assert monte_carlo_ber(model, 50_000, seed=5) == monte_carlo_ber(
             model, 50_000, seed=5)
         assert monte_carlo_ber(model, 50_000, seed=5) != monte_carlo_ber(
             model, 50_000, seed=6)
 
     def test_matches_theory_within_confidence(self):
-        model = BerModel.from_levels(0.0, 1.0, 0.25)
+        model = BerModel(0.0, 1.0, 0.25)
         rate, halfwidth = monte_carlo_ber(model, 100_000, seed=0)
         assert halfwidth == pytest.approx(
             3.0 * math.sqrt(rate * (1.0 - rate) / 100_000))
@@ -105,7 +116,7 @@ class TestMonteCarloBer:
     def test_independent_of_chunking_against_plain_rng(self):
         # One chunk (n below the chunk size) reproduces a straightforward
         # single-generator simulation with the same key.
-        model = BerModel.from_levels(0.0, 1.0, 0.5)
+        model = BerModel(0.0, 1.0, 0.5)
         n = 20_000
         rate, _ = monte_carlo_ber(model, n, seed=9)
         rng = np.random.Generator(np.random.Philox(

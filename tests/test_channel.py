@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,6 +26,9 @@ from brightlink.decoder import extract_signal
 from brightlink.encoder import make_carrier
 from reference import (
     bilinear_pull_reference,
+    capture_count_reference,
+    near_integer,
+    shown_frame_reference,
     surface_integrated_gain,
     transmit_reference,
 )
@@ -104,6 +108,19 @@ class TestChannelParams:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             ChannelParams(**kwargs)
+
+    @pytest.mark.parametrize("seed", [1.5, np.float64(1.0)])
+    def test_rejects_non_integer_seeds(self, seed):
+        # The uint64 noise key would truncate a float seed.
+        with pytest.raises(ValueError, match="rng_seed must be an integer"):
+            ChannelParams(rng_seed=seed)
+
+    def test_numpy_integer_seed_keys_the_same_noise(self):
+        frames = make_carrier("gradient", 4, 4, 3)
+        big = ChannelParams(noise_sigma=0.05, rng_seed=np.uint64(2**64 - 1))
+        assert big.rng_seed == 2**64 - 1 and type(big.rng_seed) is int
+        expected = transmit(frames, 30, ChannelParams(noise_sigma=0.05, rng_seed=2**64 - 1))
+        assert transmit(frames, 30, big).tobytes() == expected.tobytes()
 
 
 def warp(frame, matrix):
@@ -266,6 +283,60 @@ class TestTransmit:
         assert not np.array_equal(out, plain)
         expected = bilinear_pull_reference(frames[0] / 255.0, np.linalg.inv(affine))
         assert np.abs(out - expected).max() <= 0.5 / 65535 + 1e-9
+
+
+def numbered_clip(n):
+    """n one-pixel display frames; frame i holds i in red (low byte) and green."""
+    frames = np.zeros((n, 1, 1, 3), dtype=np.uint8)
+    frames[:, 0, 0, 0] = np.arange(n) % 256
+    frames[:, 0, 0, 1] = np.arange(n) // 256
+    return frames
+
+
+def shown_frames(n_in, display_fps, camera_fps):
+    """Index of the display frame each capture of a numbered clip shows."""
+    out = transmit(numbered_clip(n_in), display_fps, ChannelParams(camera_fps=camera_fps))
+    return out[:, 0, 0, 0].astype(np.int64) + 256 * out[:, 0, 0, 1].astype(np.int64)
+
+
+# Small exact rates, the NTSC rates, and floats, which stand for the binary
+# values they hold.
+CAPTURE_RATES = st.one_of(st.sampled_from([Fraction(30000, 1001), Fraction(24000, 1001)]),
+                          st.fractions(1, 120, max_denominator=1001),
+                          st.floats(1.0, 120.0))
+
+
+class TestCaptureTiming:
+    """Capture k shows the display frame on screen at (k + 1/2) / camera_fps,
+    the later one when that instant is a frame boundary."""
+
+    def test_boundary_instants_show_the_later_frame(self):
+        # From 30 to 45 fps every third instant is a display-frame boundary.
+        shown = shown_frames(130, 30, 45)
+        assert shown.tolist() == [(2 * k + 1) * 30 // 90 for k in range(195)]
+        # Float capture times would put capture 184 just before frame 123.
+        assert shown[184] == 123
+
+    def test_ntsc_display_to_30_fps_camera(self):
+        # Float capture times would show the wrong frame from capture 11,511 on.
+        display = Fraction(30000, 1001)
+        shown = shown_frames(11_600, display, 30)
+        assert len(shown) == capture_count_reference(11_600, display, 30) == 11_612
+        assert shown.tolist() == [shown_frame_reference(k, display, 30, 11_600)
+                                  for k in range(len(shown))]
+
+    @settings(max_examples=100, deadline=None)
+    @given(display=CAPTURE_RATES, camera=CAPTURE_RATES, n_in=st.integers(1, 60))
+    def test_matches_integer_oracle_and_float_times_off_ties(self, display, camera, n_in):
+        shown = shown_frames(n_in, display, camera)
+        n_out = capture_count_reference(n_in, display, camera)
+        assert shown.tolist() == [shown_frame_reference(k, display, camera, n_in)
+                                  for k in range(n_out)]
+        # Float capture times agree wherever they are not at a frame boundary.
+        position = (np.arange(n_out) + 0.5) / float(camera) * float(display)
+        clear = ~near_integer(position)
+        assert np.array_equal(shown[clear], np.minimum(position.astype(np.int64),
+                                                       n_in - 1)[clear])
 
 
 def mean_red(frames):

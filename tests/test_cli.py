@@ -173,6 +173,18 @@ class TestErrorPaths:
         assert code == EXIT_USAGE
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["channel.camera_fps", "modulation.frame_rate"])
+    def test_rate_the_bfrs_header_cannot_store_is_a_config_error(self, tmp_path, capsys,
+                                                                 key):
+        # The rate is 29970029970029/10^12; its numerator needs 45 bits.
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = 29.970029970029\n", encoding="utf-8")
+        code = main(["encode", "--config", str(cfg), "--payload-bits", "1010",
+                     "--out", str(tmp_path / "tx.bfrs")])
+        assert code == EXIT_USAGE
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "tx.bfrs").exists()
+
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
     @pytest.mark.parametrize("command", ["channel", "sweep", "ber"])
     def test_seed_outside_64_bits_is_a_usage_error(self, tmp_path, demo_cfg, capsys,

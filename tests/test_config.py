@@ -1,10 +1,12 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from brightlink.channel import ChannelParams
 from brightlink.config import ConfigError, build_config, load_config, parse_config_text
-from brightlink.core import Color
+from brightlink.core import Color, ModulationParams
 
 DEMO_TEXT = """
 # demo link setup
@@ -49,8 +51,8 @@ class TestBuildConfig:
         assert config.channel.quantizer_bits == 8
         assert config.carrier_name == "gradient"
         assert config.region is None
-        assert config.display_fps == Fraction(30)
-        assert config.camera_fps == Fraction(30)
+        assert config.modulation.frame_rate == Fraction(30)
+        assert config.channel.camera_fps == Fraction(30)
 
     def test_demo_text(self):
         config = build_config(parse_config_text(DEMO_TEXT))
@@ -99,15 +101,42 @@ class TestBuildConfig:
     def test_rational_frame_rates(self):
         config = build_config({"modulation.frame_rate": "29.97",
                                "channel.camera_fps": "30000/1001"})
-        assert config.display_fps == Fraction(2997, 100)
-        assert config.camera_fps == Fraction(30000, 1001)
-        assert config.modulation.frame_rate == pytest.approx(29.97)
+        assert config.modulation.frame_rate == Fraction(2997, 100)
+        assert isinstance(config.modulation.frame_rate, Fraction)
+        assert config.channel.camera_fps == Fraction(30000, 1001)
+        assert isinstance(config.channel.camera_fps, Fraction)
+
+    @pytest.mark.parametrize("key", ["modulation.frame_rate", "channel.camera_fps"])
+    def test_rate_beyond_the_bfrs_header_is_rejected(self, key):
+        # 29970029970029/10^12 needs more than the header's 32 bits per field.
+        with pytest.raises(ConfigError, match=f"{key}.*32-bit"):
+            build_config({key: "29.970029970029"})
+        assert build_config({key: "4294967295/4294967294"})
 
     def test_quantizer_bits(self):
         config = build_config({"channel.quantizer_bits": "16"})
         assert config.channel.quantizer_bits == 16
         with pytest.raises(ConfigError, match="quantizer_bits"):
             build_config({"channel.quantizer_bits": "40"})
+
+
+class TestExactRates:
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, 0, -1, "abc"])
+    def test_bad_rates_raise(self, rate):
+        with pytest.raises(ValueError, match="frame_rate must be positive"):
+            ModulationParams(frame_rate=rate)
+        with pytest.raises(ValueError, match="camera_fps must be positive"):
+            ChannelParams(camera_fps=rate)
+
+    def test_int_float_and_fraction_rates_are_equal(self):
+        # A numpy integer becomes a Python int, which exact arithmetic cannot overflow.
+        rates = (30.0, 30, Fraction(30), np.int64(30))
+        modulations = [ModulationParams(frame_rate=r) for r in rates]
+        cameras = [ChannelParams(camera_fps=r).camera_fps for r in rates]
+        assert all(m == modulations[0] for m in modulations)
+        assert cameras == [Fraction(30)] * 4
+        assert all(type(rate) is Fraction and type(rate.numerator) is int
+                   for rate in [m.frame_rate for m in modulations] + cameras)
 
 
 def test_load_config_round_trip(tmp_path):

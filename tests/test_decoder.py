@@ -1,9 +1,10 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brightlink.channel import (
@@ -37,6 +38,7 @@ from brightlink.encoder import encode_stream, frame_payload, frames_needed, make
 from reference import (
     bilinear_pull_reference,
     central_window_reference,
+    near_integer,
     nearest_level_index,
     sliding_correlation_reference,
 )
@@ -380,6 +382,11 @@ def test_random_payload_round_trip(payload, m_exp):
 
 # Frames per symbol from 1 to 20, plus the NTSC ratio 6000/1001 (6 at 29.97 fps).
 RATES = st.one_of(st.floats(1.0, 20.0), st.just(6000 / 1001))
+# Exact frames per symbol: small fractions, NTSC ratios and floats, which
+# stand for the binary values they hold.
+EXACT_RATES = st.one_of(
+    st.sampled_from([Fraction(6000, 1001), Fraction(30000, 1001), Fraction(24000, 1001)]),
+    st.fractions(1, 30, max_denominator=1001), st.floats(1.0, 30.0))
 
 
 def link_trace(r, lead_in, payload_symbols, m, tail, noise, seed):
@@ -429,6 +436,27 @@ class TestWholeTraceReceiver:
         assert stop[-1] == start[-1]
         assert central_window_reference(offset, r, start.size, n_samples).size == 0
 
+    @settings(max_examples=100, deadline=None)
+    @given(r=EXACT_RATES, offset=st.integers(-30, 60), n_samples=st.integers(0, 400))
+    def test_central_windows_are_exact(self, r, offset, n_samples):
+        start, stop = central_windows(SyncResult(offset=offset, frames_per_symbol=r),
+                                      n_samples)
+        n_symbols = max(0, math.ceil((n_samples - offset) / Fraction(r))) + 1
+        assert start.size == n_symbols
+        for j in range(n_symbols):
+            assert np.array_equal(np.arange(start[j], stop[j]),
+                                  central_window_reference(offset, r, j, n_samples))
+        # The float bounds agree wherever none of them is within 1e-9 of an integer.
+        symbol = np.arange(n_symbols)
+        low, high, center = (offset + (symbol + f) * float(r) for f in (0.25, 0.75, 0.5))
+        empty = np.ceil(high) <= np.ceil(low)
+        float_start = np.clip(np.where(empty, np.floor(center), np.ceil(low)), 0, n_samples)
+        float_stop = np.clip(np.where(empty, np.floor(center) + 1, np.ceil(high)),
+                             0, n_samples)
+        clear = ~(near_integer(low) | near_integer(high) | near_integer(center))
+        assert np.array_equal(start[clear], float_start[clear])
+        assert np.array_equal(stop[clear], float_stop[clear])
+
     @settings(max_examples=60, deadline=None)
     @given(link=links())
     def test_levels_and_decisions_match_reference(self, link):
@@ -463,6 +491,9 @@ class TestWholeTraceReceiver:
 
     @settings(max_examples=60, deadline=None)
     @given(link=links())
+    # Noiseless, one sample of lead-in: the window at 0 correlates 0.9, the cutoff.
+    @example(link=(20.0, 1, link_trace(20.0, 1, np.zeros(0, dtype=int), 4, tail=3,
+                                       noise=0.0, seed=0)))
     def test_sync_matches_sliding_window_reference(self, link):
         r, _, series = link
         params = ModulationParams(m=4, frame_rate=30.0, symbol_duration_frames=1)
@@ -473,7 +504,9 @@ class TestWholeTraceReceiver:
             with pytest.raises(SyncError, match="shorter"):
                 synchronize(series, params, camera_fps)
             return
-        symbol_of = np.floor((np.arange(size) + 0.5) / r).astype(int)
+        # Sample k carries symbol floor((k + 1/2) / r), in Python integers.
+        symbol_of = np.array([(2 * k + 1) * r.denominator // (2 * r.numerator)
+                              for k in range(size)])
         template = np.where(symbol_of % 2 == 0, 1.0, -1.0)
         corr = sliding_correlation_reference(series.values, template)
         peak = corr.max()
@@ -486,8 +519,11 @@ class TestWholeTraceReceiver:
             return
         assert fast.max() == pytest.approx(peak, rel=0.0, abs=1e-9)
         cutoff = max(MIN_SYNC_CORRELATION, peak - SYNC_PEAK_TOLERANCE)
-        expected = int(np.flatnonzero(corr >= cutoff)[0])
-        assert synchronize(series, params, camera_fps).offset == expected
+        # The earliest candidate wins. A window within rounding of the cutoff
+        # may count either way: noiseless traces put one exactly on it.
+        offset = synchronize(series, params, camera_fps).offset
+        assert corr[offset] >= cutoff - 1e-9
+        assert not np.any(corr[:offset] >= cutoff + 1e-9)
 
     def test_sync_memory_is_linear_in_the_trace(self):
         # 50,000 samples at 6 frames per symbol: a 96-sample template. An
