@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import struct
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
@@ -19,6 +18,7 @@ MAGIC = b"BFRS"
 VERSION = 1
 _HEADER = struct.Struct("<4sHIIIII")
 HEADER_SIZE = _HEADER.size
+FIELD_MAX = 0xFFFFFFFF  # every header field but magic and version is a u32
 
 
 class BfrsFormatError(ValueError):
@@ -37,17 +37,19 @@ def write_bfrs(path, frames: np.ndarray, fps: Fraction) -> None:
     for label, value in (("width", w), ("height", h), ("frame count", n),
                          ("fps numerator", fps.numerator),
                          ("fps denominator", fps.denominator)):
-        if value > 0xFFFFFFFF:
+        if value > FIELD_MAX:
             raise ValueError(f"{label} {value} does not fit in 32 bits")
-    header = _HEADER.pack(MAGIC, VERSION, w, h, fps.numerator, fps.denominator, n)
-    Path(path).write_bytes(header + arr.tobytes())
+    with open(path, "wb") as f:
+        f.write(_HEADER.pack(MAGIC, VERSION, w, h, fps.numerator, fps.denominator, n))
+        arr.tofile(f)
 
 
 def read_bfrs(path) -> tuple[np.ndarray, Fraction]:
-    """Read a BFRS file back into (frames, fps)."""
-    data = Path(path).read_bytes()
-    if len(data) < HEADER_SIZE:
-        raise BfrsFormatError(f"file is {len(data)} bytes, shorter than the "
+    """Read a BFRS file back into (frames, fps); the frames are a writable view
+    past the header of the one array the file is read into."""
+    data = np.fromfile(path, dtype=np.uint8)
+    if data.size < HEADER_SIZE:
+        raise BfrsFormatError(f"file is {data.size} bytes, shorter than the "
                               f"{HEADER_SIZE}-byte header")
     magic, version, w, h, fps_num, fps_den, n = _HEADER.unpack_from(data)
     if magic != MAGIC:
@@ -59,8 +61,7 @@ def read_bfrs(path) -> tuple[np.ndarray, Fraction]:
     if w == 0 or h == 0:
         raise BfrsFormatError(f"invalid frame size {w}x{h}")
     expected = HEADER_SIZE + n * h * w * 3
-    if len(data) != expected:
-        raise BfrsFormatError(f"file is {len(data)} bytes but the header implies "
+    if data.size != expected:
+        raise BfrsFormatError(f"file is {data.size} bytes but the header implies "
                               f"{expected} ({n} frames of {w}x{h})")
-    frames = np.frombuffer(data, dtype=np.uint8, offset=HEADER_SIZE).reshape(n, h, w, 3)
-    return frames.copy(), Fraction(fps_num, fps_den)
+    return data[HEADER_SIZE:].reshape(n, h, w, 3), Fraction(fps_num, fps_den)

@@ -49,6 +49,14 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
+def _parse_numbers(raw: str, what: str) -> list[float]:
+    try:
+        return [float(part) for part in raw.split(",") if part.strip()]
+    except ValueError:
+        raise ConfigError(f"cannot parse {what} {raw!r}; expected "
+                          "comma-separated numbers") from None
+
+
 def _load_payload_bits(bits_arg: str | None, file_arg: str | None,
                        default: str | None = None) -> np.ndarray:
     if bits_arg is not None and file_arg is not None:
@@ -118,8 +126,6 @@ def cmd_decode(args) -> int:
     reference = None
     if args.reference_bits is not None or args.reference is not None:
         reference = _load_payload_bits(args.reference_bits, args.reference)
-    elif config.reference_payload is not None:
-        reference = _load_payload_bits(None, str(config.reference_payload))
     report = decode_frames(frames, config.modulation, camera_fps,
                            homography=config.channel.affine, region=config.region,
                            reference_payload=reference)
@@ -157,11 +163,7 @@ def cmd_decode(args) -> int:
 
 def cmd_sweep(args) -> int:
     config = _override_seed(load_config(args.config), args.seed)
-    try:
-        distances = [float(part) for part in args.distances.split(",") if part.strip()]
-    except ValueError:
-        raise ConfigError(f"cannot parse distances {args.distances!r}; expected "
-                          "comma-separated numbers") from None
+    distances = _parse_numbers(args.distances, "distances")
     payload = _load_payload_bits(args.payload_bits, args.payload,
                                  default=DEFAULT_SWEEP_PAYLOAD)
     carrier = _carrier_for(config, None, payload.size)
@@ -181,11 +183,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_ber(args) -> int:
-    try:
-        q_points = [float(part) for part in args.q.split(",") if part.strip()]
-    except ValueError:
-        raise ConfigError(f"cannot parse q values {args.q!r}; expected "
-                          "comma-separated numbers") from None
+    q_points = _parse_numbers(args.q, "q values")
     if not q_points or any(q <= 0 or not math.isfinite(q) for q in q_points):
         raise ConfigError("q values must be positive numbers")
     if args.symbols < MC_MIN_SYMBOLS:

@@ -20,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ChannelGeometry, ChannelParams, identity_homography
+from .bfrs import FIELD_MAX
+from .channel import ChannelGeometry, ChannelParams
 from .core import Color, ModulationParams
 
 
@@ -36,7 +37,6 @@ class RunConfig:
     carrier_width: int
     carrier_height: int
     region: tuple[int, int, int, int] | None
-    reference_payload: Path | None
 
 
 _BOOL_VALUES = {"true": True, "false": False, "1": True, "0": False,
@@ -61,7 +61,7 @@ def parse_config_text(text: str) -> dict[str, str]:
     return entries
 
 
-def _take(entries: dict[str, str], key: str, parse, default):
+def _take(entries: dict[str, str], key: str, parse, default=None):
     if key not in entries:
         return default
     raw = entries.pop(key)
@@ -69,6 +69,12 @@ def _take(entries: dict[str, str], key: str, parse, default):
         return parse(raw)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"{key}: cannot parse {raw!r} ({exc})") from None
+
+
+def _section(entries: dict[str, str], prefix: str, parsers: dict) -> dict:
+    """Parse the keys under prefix that entries sets, as keyword arguments."""
+    return {name: _take(entries, prefix + name, parse)
+            for name, parse in parsers.items() if prefix + name in entries}
 
 
 def _parse_bool(raw: str) -> bool:
@@ -81,7 +87,7 @@ def _parse_bool(raw: str) -> bool:
 def _parse_rate(raw: str) -> Fraction:
     """A decimal or exact rational like 30000/1001 that a BFRS header can store."""
     rate = Fraction(raw)
-    if max(abs(rate.numerator), rate.denominator) > 0xFFFFFFFF:
+    if max(abs(rate.numerator), rate.denominator) > FIELD_MAX:
         raise ValueError(f"{rate} does not fit the 32-bit rate fields of a BFRS header")
     return rate
 
@@ -100,51 +106,41 @@ def _parse_region(raw: str) -> tuple[int, int, int, int]:
     return tuple(int(p) for p in parts)
 
 
+# Keys per section, in the order they are parsed and checked, each under the
+# name of its field (channel.seed sets ChannelParams.rng_seed).
+_MODULATION_KEYS = {"m": int, "symbol_duration_frames": int, "depth": float,
+                    "channel": Color.parse, "frame_rate": _parse_rate,
+                    "allow_visible_depth": _parse_bool}
+_GEOMETRY_KEYS = {"distance_m": float, "phi_rad": float, "theta_rad": float,
+                  "display_area_m2": float, "aperture_area_m2": float}
+_CAPTURE_KEYS = {"noise_sigma": float, "affine": _parse_matrix,
+                 "camera_fps": _parse_rate, "quantizer_bits": int, "seed": int}
+
+
 def build_config(entries: dict[str, str]) -> RunConfig:
-    """Assemble a RunConfig from parsed entries, applying defaults."""
+    """Assemble a RunConfig from parsed entries; a key the entries leave out
+    keeps its parameter type's default."""
     entries = dict(entries)
     try:
-        modulation = ModulationParams(
-            m=_take(entries, "modulation.m", int, 2),
-            symbol_duration_frames=_take(entries, "modulation.symbol_duration_frames",
-                                         int, 6),
-            depth=_take(entries, "modulation.depth", float, 0.03),
-            channel=_take(entries, "modulation.channel", Color.parse, Color.RED),
-            frame_rate=_take(entries, "modulation.frame_rate", _parse_rate, Fraction(30)),
-            allow_visible_depth=_take(entries, "modulation.allow_visible_depth",
-                                      _parse_bool, False),
-        )
-        geometry = ChannelGeometry(
-            distance_m=_take(entries, "channel.distance_m", float, 1.0),
-            phi_rad=_take(entries, "channel.phi_rad", float, 0.0),
-            theta_rad=_take(entries, "channel.theta_rad", float, 0.0),
-            display_area_m2=_take(entries, "channel.display_area_m2", float, 0.11),
-            aperture_area_m2=_take(entries, "channel.aperture_area_m2", float, 2.0e-5),
-        )
-        channel = ChannelParams(
-            geometry=geometry,
-            noise_sigma=_take(entries, "channel.noise_sigma", float, 0.0),
-            affine=_take(entries, "channel.affine", _parse_matrix,
-                         identity_homography()),
-            camera_fps=_take(entries, "channel.camera_fps", _parse_rate, Fraction(30)),
-            quantizer_bits=_take(entries, "channel.quantizer_bits", int, 8),
-            rng_seed=_take(entries, "channel.seed", int, 0),
-        )
+        modulation = ModulationParams(**_section(entries, "modulation.", _MODULATION_KEYS))
+        geometry = ChannelGeometry(**_section(entries, "channel.", _GEOMETRY_KEYS))
+        capture = _section(entries, "channel.", _CAPTURE_KEYS)
+        if "seed" in capture:
+            capture["rng_seed"] = capture.pop("seed")
+        channel = ChannelParams(geometry=geometry, **capture)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
     carrier_name = _take(entries, "carrier.name", str, "gradient")
     carrier_width = _take(entries, "carrier.width", int, 160)
     carrier_height = _take(entries, "carrier.height", int, 120)
-    region = _take(entries, "decoder.region", _parse_region, None)
-    reference = _take(entries, "decoder.reference_payload", Path, None)
+    region = _take(entries, "decoder.region", _parse_region)
     if entries:
         unknown = ", ".join(sorted(entries))
         raise ConfigError(f"unknown config keys: {unknown}")
     return RunConfig(modulation=modulation, channel=channel,
                      carrier_name=carrier_name, carrier_width=carrier_width,
-                     carrier_height=carrier_height, region=region,
-                     reference_payload=reference)
+                     carrier_height=carrier_height, region=region)
 
 
 def load_config(path) -> RunConfig:

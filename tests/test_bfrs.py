@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -50,6 +51,28 @@ def test_round_trip_property(tmp_path_factory, n, h, w, num, den):
     got, fps = read_bfrs(path)
     assert got.shape == frames.shape
     assert fps == Fraction(num, den)
+
+
+def test_write_and_read_hold_the_clip_at_most_once(tmp_path):
+    frames = np.random.default_rng(0).integers(0, 256, size=(16, 240, 320, 3),
+                                               dtype=np.uint8)
+    path = tmp_path / "clip.bfrs"
+
+    def traced_peak(fn, *args):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+
+    tracemalloc.start()
+    try:
+        _, write_peak = traced_peak(write_bfrs, path, frames, Fraction(30))
+        (got, _), read_peak = traced_peak(read_bfrs, path)
+    finally:
+        tracemalloc.stop()
+    assert write_peak <= 0.1 * frames.nbytes
+    assert read_peak <= 1.1 * frames.nbytes
+    assert np.array_equal(got, frames)
 
 
 class TestWriteValidation:

@@ -1,4 +1,8 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,6 +298,27 @@ class TestBerCommand:
     def test_rejects_too_few_symbols(self, capsys):
         assert main(["ber", "--q", "1", "--symbols", "5"]) == EXIT_USAGE
         assert "--symbols must be at least 10000" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_entry_point(tmp_path):
+    # pytest's pythonpath setting does not reach a child process.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def run(*args):
+        return subprocess.run([sys.executable, "-m", "brightlink", *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("modulation.mm = 2\n", encoding="utf-8")
+    bad = run("encode", "--config", str(cfg), "--payload-bits", "1",
+              "--out", str(tmp_path / "x.bfrs"))
+    assert bad.returncode == EXIT_USAGE
+    assert "unknown config keys: modulation.mm" in bad.stderr
+    ber = run("ber", "--q", "1", "--symbols", "10000")
+    assert ber.returncode == EXIT_OK
+    lines = ber.stdout.splitlines()
+    assert lines[0] == "q,pe_theory,pe_mc,ci_halfwidth"
+    assert len(lines) == 2 and lines[1].startswith("1,")
 
 
 @pytest.mark.parametrize("text, report_digest, csv_digest", [

@@ -1,5 +1,7 @@
 import math
+from dataclasses import MISSING, fields
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -54,6 +56,43 @@ class TestBuildConfig:
         assert config.modulation.frame_rate == Fraction(30)
         assert config.channel.camera_fps == Fraction(30)
 
+    def test_empty_config_keeps_every_dataclass_default(self):
+        config = build_config({})
+        for params in (config.modulation, config.channel.geometry, config.channel):
+            for f in fields(params):
+                default = f.default_factory() if f.default is MISSING else f.default
+                value = getattr(params, f.name)
+                assert type(value) is type(default), f.name
+                if isinstance(default, np.ndarray):
+                    assert np.array_equal(value, default), f.name
+                else:
+                    assert value == default, f.name
+
+    @pytest.mark.parametrize("key, raw, field, expected", [
+        ("modulation.m", "4", "modulation.m", 4),
+        ("modulation.symbol_duration_frames", "3",
+         "modulation.symbol_duration_frames", 3),
+        ("modulation.depth", "0.02", "modulation.depth", 0.02),
+        ("modulation.channel", "green", "modulation.channel", Color.GREEN),
+        ("modulation.frame_rate", "60", "modulation.frame_rate", Fraction(60)),
+        ("modulation.allow_visible_depth", "yes", "modulation.allow_visible_depth", True),
+        ("channel.distance_m", "2.5", "channel.geometry.distance_m", 2.5),
+        ("channel.phi_rad", "0.25", "channel.geometry.phi_rad", 0.25),
+        ("channel.theta_rad", "0.5", "channel.geometry.theta_rad", 0.5),
+        ("channel.display_area_m2", "0.2", "channel.geometry.display_area_m2", 0.2),
+        ("channel.aperture_area_m2", "1e-4", "channel.geometry.aperture_area_m2", 1e-4),
+        ("channel.noise_sigma", "0.01", "channel.noise_sigma", 0.01),
+        ("channel.affine", "1 0 2  0 1 3  0 0 1", "channel.affine",
+         [[1, 0, 2], [0, 1, 3], [0, 0, 1]]),
+        ("channel.camera_fps", "30000/1001", "channel.camera_fps", Fraction(30000, 1001)),
+        ("channel.quantizer_bits", "12", "channel.quantizer_bits", 12),
+        ("channel.seed", "42", "channel.rng_seed", 42),
+    ])
+    def test_each_key_sets_its_field(self, key, raw, field, expected):
+        path = field.split(".")
+        assert not np.array_equal(reduce(getattr, path, build_config({})), expected)
+        assert np.array_equal(reduce(getattr, path, build_config({key: raw})), expected)
+
     def test_demo_text(self):
         config = build_config(parse_config_text(DEMO_TEXT))
         assert config.modulation.channel is Color.RED
@@ -66,10 +105,26 @@ class TestBuildConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             build_config({"modulation.n": "2"})
+        # A reference payload file is given to decode with --reference.
+        with pytest.raises(ConfigError, match="decoder.reference_payload"):
+            build_config({"decoder.reference_payload": "payload.bin"})
 
     def test_bad_value_reports_key(self):
         with pytest.raises(ConfigError, match="modulation.m"):
             build_config({"modulation.m": "two"})
+
+    @pytest.mark.parametrize("entries, message", [
+        ({"modulation.m": "3", "modulation.depth": "x"}, "modulation.depth: cannot parse"),
+        ({"channel.noise_sigma": "x", "modulation.m": "3"}, "power of two"),
+        ({"channel.seed": "-1", "channel.distance_m": "0"}, "distance_m must be positive"),
+        ({"carrier.width": "x", "channel.seed": "-1"}, "rng_seed must be an integer"),
+        ({"modulation.zz": "1", "carrier.width": "x"}, "carrier.width: cannot parse"),
+    ])
+    def test_bad_keys_are_reported_in_section_order(self, entries, message):
+        # A section parses all its keys before its type checks them; sections
+        # go modulation, geometry, capture, carrier, then unknown keys.
+        with pytest.raises(ConfigError, match=message):
+            build_config(entries)
 
     def test_domain_validation_propagates(self):
         with pytest.raises(ConfigError, match="power of two"):
