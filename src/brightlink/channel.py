@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -136,9 +137,12 @@ def resampling_map(pull: np.ndarray, height: int,
     bilinear corner; corners outside the source get weight 0, so pixels pulled
     from outside read as black.
     """
-    ys, xs = np.mgrid[0:height, 0:width]
-    dest = np.column_stack([xs.ravel(), ys.ravel(), np.ones(height * width)])
-    projected = dest @ pull.T
+    n_pix = height * width
+    dest = np.empty((height, width, 3))
+    dest[..., 0] = np.arange(width)
+    dest[..., 1] = np.arange(height)[:, None]
+    dest[..., 2] = 1.0
+    projected = dest.reshape(n_pix, 3) @ pull.T
     w = projected[:, 2]
     if np.any(np.abs(w) < 1e-12):
         raise ValueError("homography maps a pixel to infinity")
@@ -151,15 +155,43 @@ def resampling_map(pull: np.ndarray, height: int,
     x0 = x0.astype(np.int64)
     y0 = y0.astype(np.int64)
 
-    corners = ((x0, y0), (x0 + 1, y0), (x0, y0 + 1), (x0 + 1, y0 + 1))
-    weights = ((1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy)
-    index = np.empty((4, height * width), dtype=np.int64)
-    weight = np.empty((4, height * width), dtype=np.float64)
-    for k, ((cx, cy), wk) in enumerate(zip(corners, weights)):
-        valid = (cx >= 0) & (cx < width) & (cy >= 0) & (cy < height)
-        index[k] = np.where(valid, cy * width + cx, 0)
-        weight[k] = np.where(valid, wk, 0.0)
+    # Corner k sits dx = k % 2 columns right and dy = k // 2 rows down of
+    # (x0, y0); it is in range when its column and its row are.
+    in_column = ((x0 >= 0) & (x0 < width), (x0 >= -1) & (x0 < width - 1))
+    in_row = ((y0 >= 0) & (y0 < height), (y0 >= -1) & (y0 < height - 1))
+    weight_x = (1 - fx, fx)
+    weight_y = (1 - fy, fy)
+    first = y0 * width + x0
+    index = np.empty((4, n_pix), dtype=np.int64)
+    weight = np.empty((4, n_pix), dtype=np.float64)
+    for k in range(4):
+        dx, dy = k % 2, k // 2
+        valid = in_column[dx] & in_row[dy]
+        np.multiply(first + (dy * width + dx), valid, out=index[k])
+        # Weights are never negative, so an out-of-range corner reads +0.0.
+        np.multiply(weight_x[dx] * weight_y[dy], valid, out=weight[k])
     return index, weight
+
+
+@functools.lru_cache(maxsize=1)
+def _warp_operator(affine: bytes, height: int, width: int) -> sparse.csr_array:
+    """The read-only CSR warp of height x width frames through a homography.
+
+    affine holds the bytes of a checked float64 3x3 matrix, so a caller that
+    changes its matrix in place gets a new warp. A stream of calls with one
+    homography and frame size builds the warp once; only the last is kept,
+    72 bytes per pixel.
+    """
+    pull = np.linalg.inv(np.frombuffer(affine).reshape(3, 3))
+    # Each row keeps its 4 corners in order, zero weights included, so a pixel
+    # sums its products in corner order and weights (1, 0, 0, 0) copy it exactly.
+    index, weight = resampling_map(pull, height, width)
+    n_pix = height * width
+    warp = sparse.csr_array((weight.T.ravel(), index.T.ravel(),
+                             np.arange(0, 4 * n_pix + 1, 4)), shape=(n_pix, n_pix))
+    for part in (warp.data, warp.indices, warp.indptr):
+        part.flags.writeable = False
+    return warp
 
 
 def transmit(frames: np.ndarray, display_fps: Fraction, params: ChannelParams,
@@ -170,7 +202,8 @@ def transmit(frames: np.ndarray, display_fps: Fraction, params: ChannelParams,
     on a frame boundary; rates are exact), warped through the homography,
     scaled by the normalized geometric gain, plus white Gaussian noise keyed
     by (seed, capture index), quantized to the sensor bit depth. The warp is
-    one sparse operator per call, applied to blocks of captures that end on
+    one sparse operator, built once per homography and frame size and kept
+    for the next call, applied to blocks of captures that end on
     display-frame boundaries, so each shown frame is warped once.
     With frames of 2^16 values or more, one thread per CPU takes the blocks
     one at a time.
@@ -193,12 +226,8 @@ def transmit(frames: np.ndarray, display_fps: Fraction, params: ChannelParams,
     src_index = np.minimum(floor_progression(n_out, ratio / 2, ratio), n_in - 1)
 
     gain = normalized_gain(params.geometry)
-    # Each row keeps its 4 corners in order, zero weights included, so a pixel
-    # sums its products in corner order and weights (1, 0, 0, 0) copy it exactly.
-    index, weight = resampling_map(np.linalg.inv(params.affine), height, width)
+    warp = _warp_operator(params.affine.tobytes(), height, width)
     n_pix = height * width
-    warp = sparse.csr_array((weight.T.ravel(), index.T.ravel(),
-                             np.arange(0, 4 * n_pix + 1, 4)), shape=(n_pix, n_pix))
 
     captured = np.empty((n_out, height, width, 3),
                         dtype=np.uint8 if params.quantizer_bits == 8 else np.float32)

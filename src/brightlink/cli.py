@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -203,6 +204,8 @@ def cmd_ber(args) -> int:
     return EXIT_OK
 
 
+# parse_args fills a fresh namespace on each call, so one parser serves a process.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="brightlink",

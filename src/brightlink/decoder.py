@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -78,6 +79,26 @@ class DecodeReport:
     ber_vs_reference: float | None = None
 
 
+@functools.lru_cache(maxsize=1)
+def _rectify_weights(pull: bytes, height: int, width: int,
+                     region: tuple[int, int, int, int]) -> np.ndarray:
+    """Rectify, crop and mean as one fixed linear map: a weight per sensor pixel.
+
+    pull holds the bytes of a checked float64 3x3 matrix, so a caller that
+    changes its matrix in place gets new weights. A stream of calls with one
+    homography, frame size and region builds them once; only the last
+    read-only weight image is kept.
+    """
+    x, y, w, h = region
+    index, weight = (a.reshape(4, height, width)[:, y:y + h, x:x + w]
+                     for a in resampling_map(np.frombuffer(pull).reshape(3, 3),
+                                             height, width))
+    weights = np.bincount(index.ravel(), weight.ravel(),
+                          minlength=height * width) / (w * h)
+    weights.flags.writeable = False
+    return weights
+
+
 def extract_signal(frames: np.ndarray, homography: np.ndarray | None = None,
                    region: tuple[int, int, int, int] | None = None,
                    channel: Color = Color.RED,
@@ -88,7 +109,9 @@ def extract_signal(frames: np.ndarray, homography: np.ndarray | None = None,
     when given, each capture is rectified back into display coordinates before
     measuring (a rectified pixel at display position p is pulled from sensor
     position H p). region is an (x, y, w, h) crop in the rectified frame; by
-    default the whole frame is averaged.
+    default the whole frame is averaged. The weight image that rectifies,
+    crops and averages is built once per homography, frame size and region,
+    and kept for the next call.
     """
     arr = validate_frames(frames)
     n, height, width = arr.shape[:3]
@@ -99,11 +122,7 @@ def extract_signal(frames: np.ndarray, homography: np.ndarray | None = None,
         raise ValueError(f"region {region} falls outside frames of shape "
                          f"{arr.shape[1:3]}")
     pull = identity_homography() if homography is None else check_homography(homography)
-    # Rectify, crop and mean are one fixed linear map: a weight per sensor pixel.
-    index, weight = (a.reshape(4, height, width)[:, y:y + h, x:x + w]
-                     for a in resampling_map(pull, height, width))
-    weights = np.bincount(index.ravel(), weight.ravel(),
-                          minlength=height * width) / (w * h)
+    weights = _rectify_weights(pull.tobytes(), height, width, (x, y, w, h))
     # Blocks of a quarter million pixels bound the float copy on long clips.
     step = max(1, (1 << 18) // weights.size)
     values = [to_unit(arr[k:k + step, :, :, int(channel)]).reshape(-1, weights.size)

@@ -1,5 +1,17 @@
 import pytest
 
+from brightlink.channel import _warp_operator
+from brightlink.decoder import _rectify_weights
+
+
+@pytest.fixture(autouse=True)
+def fresh_operator_caches():
+    """Start each test with no kept warp or weight image, so a test that
+    counts builds or patches resampling_map does not depend on the tests
+    that ran before it."""
+    _warp_operator.cache_clear()
+    _rectify_weights.cache_clear()
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     lines = getattr(config, "acceptance_lines", None)

@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -589,6 +590,73 @@ class TestBlockWalk:
         built.clear()
         assert len(transmit(np.concatenate([self.CLIP, self.CLIP[:80]]), 30.0, params)) == 400
         assert len(built) <= short_call
+
+
+class TestWarpCache:
+    """transmit builds its warp once per homography and frame size and keeps
+    the last one; a kept warp gives the bytes a fresh one gives. Each test
+    starts with no warp kept (tests/conftest.py)."""
+
+    A = np.array([[0.95, 0.08, 1.3], [-0.06, 0.97, 0.7], [0.001, -0.0008, 1.0]])
+    B = np.array([[1.02, -0.05, -0.9], [0.04, 0.99, 1.1], [-0.0012, 0.0007, 1.0]])
+    CLIP = np.random.default_rng(31).integers(0, 256, (16, 18, 24, 3), dtype=np.uint8)
+
+    def test_a_chunked_stream_builds_the_warp_once(self, monkeypatch):
+        builds = []
+        resampling_map = channel_module.resampling_map
+
+        def counting_map(*args):
+            builds.append(args)
+            return resampling_map(*args)
+
+        monkeypatch.setattr(channel_module, "resampling_map", counting_map)
+        params = ChannelParams(affine=self.A, noise_sigma=0.01)
+        for index, first in enumerate(range(0, 16, 2)):
+            transmit(self.CLIP[first:first + 2], 30.0, replace(params, rng_seed=index))
+        assert len(builds) == 1
+        assert channel_module._warp_operator.cache_info().hits == 7
+
+    def test_a_kept_warp_gives_the_bytes_of_a_fresh_one(self):
+        params = ChannelParams(affine=self.A, noise_sigma=0.01, camera_fps=24.0, rng_seed=4)
+        miss = transmit(self.CLIP, 30.0, params)
+        hit = transmit(self.CLIP, 30.0, params)
+        assert channel_module._warp_operator.cache_info().hits == 1
+        assert hit.tobytes() == miss.tobytes()
+        assert hit.tobytes() == transmit_reference(self.CLIP, 30.0, params).tobytes()
+
+    def test_alternating_homographies_each_match_the_oracle(self):
+        for affine in (self.A, self.B, self.A):
+            params = ChannelParams(affine=affine, noise_sigma=0.01, rng_seed=9)
+            out = transmit(self.CLIP, 30.0, params)
+            assert out.tobytes() == transmit_reference(self.CLIP, 30.0, params).tobytes()
+        # One warp is kept, so the second A cannot reuse the first.
+        assert channel_module._warp_operator.cache_info().misses == 3
+
+    def test_changing_the_matrix_in_place_rebuilds_the_warp(self):
+        affine = self.A.copy()
+        params = ChannelParams(affine=affine, quantizer_bits=16)
+        assert params.affine is affine
+        before = transmit(self.CLIP, 30.0, params)
+        affine[0, 2] += 1.0
+        after = transmit(self.CLIP, 30.0, params)
+        assert after.tobytes() != before.tobytes()
+        assert after.tobytes() == transmit_reference(self.CLIP, 30.0, params).tobytes()
+
+    def test_the_kept_warp_is_read_only(self):
+        transmit(self.CLIP[:1], 30.0, ChannelParams(affine=self.A))
+        warp = channel_module._warp_operator(self.A.tobytes(), 18, 24)
+        assert channel_module._warp_operator.cache_info().hits == 1
+        for part in (warp.data, warp.indices, warp.indptr):
+            assert not part.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            warp.data[0] = 2.0
+
+    def test_only_the_last_warp_is_kept(self):
+        for dx in range(20):
+            transmit(self.CLIP[:1], 30.0, ChannelParams(affine=translation(dx, 0.5)))
+        info = channel_module._warp_operator.cache_info()
+        assert info.misses == 20
+        assert info.currsize == 1
 
 
 @settings(max_examples=20, deadline=None)

@@ -15,6 +15,7 @@ from brightlink.cli import (
     EXIT_PIPELINE,
     EXIT_SYNC,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 from brightlink.encoder import make_carrier
@@ -142,6 +143,24 @@ class TestLinkRoundTrip:
         _, _, rx3, _, _ = run_link(tmp_path / "c", demo_cfg, seed=6)
         assert rx1.read_bytes() == rx2.read_bytes()
         assert rx1.read_bytes() != rx3.read_bytes()
+
+    def test_a_seed_does_not_reach_the_next_call(self, tmp_path, demo_cfg):
+        # main parses every call with one parser; an option given to one call
+        # must not stay set for the next.
+        tx, rx = tmp_path / "tx.bfrs", tmp_path / "rx.bfrs"
+        assert main(["encode", "--config", str(demo_cfg), "--payload-bits", PAYLOAD,
+                     "--out", str(tx)]) == EXIT_OK
+        channel_args = ["channel", "--config", str(demo_cfg), "--in", str(tx),
+                        "--out", str(rx)]
+        assert main([*channel_args, "--seed", "5"]) == EXIT_OK
+        seeded = rx.read_bytes()
+        assert main(channel_args) == EXIT_OK
+        unseeded = rx.read_bytes()
+        assert build_parser() is build_parser()
+        build_parser.cache_clear()
+        assert main(channel_args) == EXIT_OK
+        assert unseeded == rx.read_bytes()
+        assert unseeded != seeded
 
     def test_corrupted_capture_fails_integrity(self, tmp_path, demo_cfg, capsys):
         code, tx, rx, report, csv = run_link(tmp_path, demo_cfg)

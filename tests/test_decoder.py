@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from brightlink import decoder as decoder_module
 from brightlink.channel import (
     ChannelGeometry,
     ChannelParams,
@@ -118,6 +119,84 @@ class TestExtractSignal:
         expected = [bilinear_pull_reference(frame / 255.0, pull)[y:y + h, x:x + w, 1].mean()
                     for frame in frames]
         np.testing.assert_allclose(series.values, expected, rtol=0.0, atol=1e-12)
+
+
+class TestRectifyCache:
+    """extract_signal builds its weight image once per homography, frame size
+    and region and keeps the last one; kept weights give the values fresh
+    ones give. Each test starts with no weights kept (tests/conftest.py)."""
+
+    A = np.array([[0.97, -0.06, 1.4], [0.05, 0.95, -0.8], [0.0015, -0.001, 1.0]])
+    B = np.array([[1.03, 0.04, -1.1], [-0.02, 1.01, 0.6], [-0.001, 0.0012, 1.0]])
+    REGION = (2, 1, 11, 9)
+    CLIP = np.random.default_rng(12).integers(0, 256, (16, 12, 16, 3), dtype=np.uint8)
+
+    def expected(self, frames, pull):
+        x, y, w, h = self.REGION
+        return [bilinear_pull_reference(frame / 255.0, pull)[y:y + h, x:x + w, 0].mean()
+                for frame in frames]
+
+    def test_a_chunked_stream_builds_the_weights_once(self, monkeypatch):
+        builds = []
+        resampling_map = decoder_module.resampling_map
+
+        def counting_map(*args):
+            builds.append(args)
+            return resampling_map(*args)
+
+        monkeypatch.setattr(decoder_module, "resampling_map", counting_map)
+        for first in range(0, 16, 2):
+            extract_signal(self.CLIP[first:first + 2], homography=self.A, region=self.REGION)
+        assert len(builds) == 1
+        assert decoder_module._rectify_weights.cache_info().hits == 7
+
+    def test_kept_weights_give_the_values_of_fresh_ones(self):
+        miss = extract_signal(self.CLIP, homography=self.A, region=self.REGION).values
+        hit = extract_signal(self.CLIP, homography=self.A, region=self.REGION).values
+        assert decoder_module._rectify_weights.cache_info().hits == 1
+        assert hit.tobytes() == miss.tobytes()
+        np.testing.assert_allclose(hit, self.expected(self.CLIP, self.A), rtol=0.0, atol=1e-12)
+
+    def test_alternating_homographies_each_match_the_oracle(self):
+        frames = self.CLIP[:3]
+        for pull in (self.A, self.B, self.A):
+            series = extract_signal(frames, homography=pull, region=self.REGION)
+            np.testing.assert_allclose(series.values, self.expected(frames, pull),
+                                       rtol=0.0, atol=1e-12)
+        assert decoder_module._rectify_weights.cache_info().misses == 3
+
+    def test_changing_the_matrix_in_place_rebuilds_the_weights(self):
+        frames = self.CLIP[:3]
+        pull = self.A.copy()
+        before = extract_signal(frames, homography=pull, region=self.REGION).values
+        pull[0, 2] += 1.0
+        after = extract_signal(frames, homography=pull, region=self.REGION).values
+        assert not np.array_equal(after, before)
+        np.testing.assert_allclose(after, self.expected(frames, pull), rtol=0.0, atol=1e-12)
+
+    def test_a_new_region_rebuilds_the_weights(self):
+        extract_signal(self.CLIP[:1], homography=self.A, region=self.REGION)
+        whole = extract_signal(self.CLIP[:1], homography=self.A)
+        assert decoder_module._rectify_weights.cache_info().misses == 2
+        expected = bilinear_pull_reference(self.CLIP[0] / 255.0, self.A)[..., 0].mean()
+        assert whole.values[0] == pytest.approx(expected, rel=0.0, abs=1e-12)
+
+    def test_the_kept_weights_are_read_only(self):
+        extract_signal(self.CLIP[:1], homography=self.A, region=self.REGION)
+        weights = decoder_module._rectify_weights(self.A.tobytes(), 12, 16, self.REGION)
+        assert decoder_module._rectify_weights.cache_info().hits == 1
+        assert not weights.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            weights[0] = 1.0
+
+    def test_only_the_last_weights_are_kept(self):
+        for dx in range(20):
+            pull = identity_homography()
+            pull[0, 2] = dx / 4
+            extract_signal(self.CLIP[:1], homography=pull)
+        info = decoder_module._rectify_weights.cache_info()
+        assert info.misses == 20
+        assert info.currsize == 1
 
 
 def test_received_frames_per_symbol():
