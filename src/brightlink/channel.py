@@ -180,7 +180,7 @@ def _warp_operator(affine: bytes, height: int, width: int) -> sparse.csr_array:
     affine holds the bytes of a checked float64 3x3 matrix, so a caller that
     changes its matrix in place gets a new warp. A stream of calls with one
     homography and frame size builds the warp once; only the last is kept,
-    72 bytes per pixel.
+    alive until a call with another homography or size, 72 bytes per pixel.
     """
     pull = np.linalg.inv(np.frombuffer(affine).reshape(3, 3))
     # Each row keeps its 4 corners in order, zero weights included, so a pixel
@@ -203,7 +203,8 @@ def transmit(frames: np.ndarray, display_fps: Fraction, params: ChannelParams,
     scaled by the normalized geometric gain, plus white Gaussian noise keyed
     by (seed, capture index), quantized to the sensor bit depth. The warp is
     one sparse operator, built once per homography and frame size and kept
-    for the next call, applied to blocks of captures that end on
+    after the call (72 bytes per pixel) until a call with another homography
+    or frame size builds the next, applied to blocks of captures that end on
     display-frame boundaries, so each shown frame is warped once.
     With frames of 2^16 values or more, one thread per CPU takes the blocks
     one at a time.

@@ -111,7 +111,8 @@ def extract_signal(frames: np.ndarray, homography: np.ndarray | None = None,
     position H p). region is an (x, y, w, h) crop in the rectified frame; by
     default the whole frame is averaged. The weight image that rectifies,
     crops and averages is built once per homography, frame size and region,
-    and kept for the next call.
+    and kept after the call (8 bytes per sensor pixel) until a call with
+    another homography, frame size or region builds the next.
     """
     arr = validate_frames(frames)
     n, height, width = arr.shape[:3]

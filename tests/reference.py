@@ -178,6 +178,29 @@ def sliding_correlation_reference(values, template) -> np.ndarray:
     return corr
 
 
+def correlation_reaches_reference(values, template, k: int, floor) -> bool:
+    """Whether the Pearson correlation of template with the window at k is at
+    least floor (>= 0), in exact rational arithmetic.
+
+    Floats convert to Fractions without rounding, so a window that correlates
+    exactly floor is settled as it is, not as float rounding leaves it.
+    A window without variance never reaches the floor.
+    """
+    floor = Fraction(floor)
+    assert floor >= 0
+    t = [Fraction(float(v)) for v in template]
+    window = [Fraction(float(v)) for v in values[k:k + len(t)]]
+    t_mean = sum(t) / len(t)
+    w_mean = sum(window) / len(t)
+    cross = sum((a - w_mean) * (b - t_mean) for a, b in zip(window, t))
+    w_sq = sum((a - w_mean) ** 2 for a in window)
+    t_sq = sum((b - t_mean) ** 2 for b in t)
+    if w_sq == 0 or t_sq == 0:
+        return False
+    # cross / sqrt(w_sq * t_sq) >= floor, squared: cross must not be negative.
+    return cross >= 0 and cross * cross >= floor * floor * w_sq * t_sq
+
+
 def near_integer(x) -> np.ndarray:
     """Where float results lie within 1e-9 of an integer: ties that float
     rounding may resolve either way, which exact arithmetic settles."""
