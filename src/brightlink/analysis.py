@@ -8,9 +8,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import erfc
 
-from .channel import ChannelParams, transmit
-from .core import ModulationParams, as_bits, as_seed
-from .decoder import central_windows, decode_frames
+from .channel import ChannelParams, normalized_gain, transmit_gains
+from .core import ModulationParams, SymbolSeries, as_bits, as_seed
+from .decoder import central_windows, decode_series, extract_block_frames, extract_signal
 from .encoder import encode_stream
 
 MC_MIN_SYMBOLS = 10_000
@@ -120,33 +120,114 @@ def distance_sweep(distances, payload_bits, carrier: np.ndarray,
     payload. A failing distance is recorded and the sweep continues. The
     returned slope fits log10(delta_mu) against log10(distance) over the rows
     that survived.
+
+    The clip is sent once for all distances: each shown frame is warped once
+    and each capture's noise drawn once, so every distance sees the same noise
+    (common random numbers). Each distance's captures are reduced to samples
+    as they arrive, so no distance holds its whole captured clip; a row is
+    bit for bit what transmit and decode_frames give at that distance.
     """
     dist = [float(d) for d in distances]
     if len(dist) < 3:
         raise ValueError(f"a sweep needs at least 3 distances, got {len(dist)}")
     payload = as_bits(payload_bits)
     sent = encode_stream(payload, carrier, modulation)
-    rows = []
-    for d in dist:
+    errors: dict[int, str] = {}
+    gains = {}
+    for i, d in enumerate(dist):
         try:
-            params = replace(channel, geometry=replace(channel.geometry, distance_m=d))
-            captured = transmit(sent, modulation.frame_rate, params,
-                                symbol_rate=modulation.symbol_rate)
-            report = decode_frames(captured, modulation, params.camera_fps,
-                                   homography=params.affine, region=region,
-                                   reference_payload=payload)
-            delta_mu = report.levels.mu1 - report.levels.mu0
-            pe_theory = _decision_error_estimate(report)
-            pe_measured = float(report.ber_vs_reference)
-            n_bits = max(payload.size, 1)
-            ci = 3.0 * math.sqrt(pe_measured * (1.0 - pe_measured) / n_bits)
-            rows.append(SweepRow(d, delta_mu, pe_theory, pe_measured, ci))
+            gains[i] = normalized_gain(replace(channel.geometry, distance_m=d))
         except (ValueError, RuntimeError) as exc:
-            nan = float("nan")
-            rows.append(SweepRow(d, nan, nan, nan, nan, error=str(exc)))
+            errors[i] = str(exc)
+    received = _receive(sent, modulation, channel, region, gains, errors) if gains else {}
+
+    rows = []
+    for i, d in enumerate(dist):
+        if i not in errors:
+            try:
+                report = decode_series(received.pop(i).series(), modulation,
+                                       channel.camera_fps, reference_payload=payload)
+                delta_mu = report.levels.mu1 - report.levels.mu0
+                pe_theory = _decision_error_estimate(report)
+                pe_measured = float(report.ber_vs_reference)
+                n_bits = max(payload.size, 1)
+                ci = 3.0 * math.sqrt(pe_measured * (1.0 - pe_measured) / n_bits)
+                rows.append(SweepRow(d, delta_mu, pe_theory, pe_measured, ci))
+                continue
+            except (ValueError, RuntimeError) as exc:
+                errors[i] = str(exc)
+        nan = float("nan")
+        rows.append(SweepRow(d, nan, nan, nan, nan, error=errors[i]))
     slope = fit_loglog_slope([r.distance_m for r in rows if r.error is None],
                              [r.delta_mu for r in rows if r.error is None])
     return SweepResult(rows=tuple(rows), slope=slope)
+
+
+def _receive(sent: np.ndarray, modulation: ModulationParams, channel: ChannelParams,
+             region, gains: dict[int, float],
+             errors: dict[int, str]) -> dict[int, _StagedSignal]:
+    """Send the clip once at every gain, on this thread, and stage each row's
+    captures for extraction as they arrive.
+
+    A row whose captures fail to extract gets its error in errors; an error
+    of the pass itself goes to every row still open.
+    """
+    stages = {i: _StagedSignal(homography=channel.affine, region=region,
+                               channel=modulation.channel, sample_rate=channel.camera_fps)
+              for i in gains}
+    try:
+        for blocks in transmit_gains(sent, modulation.frame_rate, channel,
+                                     list(gains.values()),
+                                     symbol_rate=modulation.symbol_rate):
+            for i, block in zip(gains, blocks):
+                if i not in errors:
+                    try:
+                        stages[i].add(block)
+                    except (ValueError, RuntimeError) as exc:
+                        errors[i] = str(exc)
+    except (ValueError, RuntimeError) as exc:
+        errors.update((i, str(exc)) for i in gains if i not in errors)
+    return {i: stage for i, stage in stages.items() if i not in errors}
+
+
+class _StagedSignal:
+    """One trace reduced to samples as its captures arrive, in order.
+
+    Captures gather in a stage of extract_signal's own block, counted from
+    capture 0, and each full stage is extracted, so the samples are bit for
+    bit those of one extract_signal call on the whole clip: a sample's last
+    bit depends on which rows share its block.
+    """
+
+    def __init__(self, **extract_args):
+        self.extract_args = extract_args
+        self.stage: np.ndarray | None = None
+        self.filled = 0
+        self.values: list[np.ndarray] = []
+
+    def add(self, captures: np.ndarray) -> None:
+        if self.stage is None:
+            frames = extract_block_frames(*captures.shape[1:3])
+            self.stage = np.empty((frames, *captures.shape[1:]), captures.dtype)
+        while len(captures):
+            take = min(len(self.stage) - self.filled, len(captures))
+            self.stage[self.filled:self.filled + take] = captures[:take]
+            self.filled += take
+            captures = captures[take:]
+            if self.filled == len(self.stage):
+                self._extract()
+
+    def _extract(self) -> None:
+        self.values.append(extract_signal(self.stage[:self.filled],
+                                          **self.extract_args).values)
+        self.filled = 0
+
+    def series(self) -> SymbolSeries:
+        """The whole trace, once every capture has been added; frees the stage."""
+        if self.filled:
+            self._extract()
+        self.stage = None
+        return SymbolSeries(np.concatenate(self.values), self.extract_args["sample_rate"])
 
 
 def _decision_error_estimate(report) -> float:

@@ -6,9 +6,11 @@ import functools
 import math
 import os
 import threading
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -194,6 +196,96 @@ def _warp_operator(affine: bytes, height: int, width: int) -> sparse.csr_array:
     return warp
 
 
+class _Plan(NamedTuple):
+    """What every block of one clip's walk shares, however many gains it sends."""
+
+    source: np.ndarray      # the checked display clip
+    shown: np.ndarray       # the display frame each capture shows
+    bounds: list[int]       # block edges: block i holds captures bounds[i]..bounds[i+1]
+    warp: sparse.csr_array  # the kept warp of the clip's homography and frame size
+
+
+def _plan(frames: np.ndarray, display_fps: Fraction, params: ChannelParams,
+          symbol_rate: Fraction | None) -> _Plan:
+    """Check the clip and the sampling guard, and lay out the capture blocks."""
+    source = validate_frames(frames)
+    # Display frames per capture: capture k, at (k + 1/2) / camera_fps, shows
+    # display frame floor((k + 1/2) ratio).
+    ratio = as_rate(display_fps, "display_fps") / params.camera_fps
+    if symbol_rate is not None and params.camera_fps < 2 * as_rate(symbol_rate, "symbol_rate"):
+        raise SamplingRateError(
+            f"camera_fps {params.camera_fps} is below twice the symbol rate "
+            f"{symbol_rate}; raise the camera rate or slow the symbols")
+
+    n_in, height, width = source.shape[:3]
+    n_out = max(1, round(n_in / ratio))
+    shown = np.minimum(floor_progression(n_out, ratio / 2, ratio), n_in - 1)
+    # Blocks of about 2^16 values bound the float copies on long clips; a block
+    # ends with the last capture of a display frame, so each is warped once.
+    step = max(1, (1 << 16) // (3 * height * width))
+    bounds = [0]
+    while bounds[-1] < n_out:
+        last_shown = shown[min(bounds[-1] + step, n_out) - 1]
+        bounds.append(int(np.searchsorted(shown, last_shown, side="right")))
+    return _Plan(source, shown, bounds,
+                 _warp_operator(params.affine.tobytes(), height, width))
+
+
+class _KeyedNormal(NamedTuple):
+    """Capture k's noise: one Philox, reset to key (seed, k) and counter 0
+    before each draw, so each capture reads its own stream from the start, as
+    a fresh generator would. A uint64 key keeps big seeds exact. One per
+    thread."""
+
+    philox: np.random.Philox
+    rng: np.random.Generator
+    fresh: dict      # the Philox state at key (seed, 0), counter 0
+    key: np.ndarray  # fresh's key, set to (seed, k) before capture k draws
+
+
+def _keyed_normal(params: ChannelParams) -> _KeyedNormal:
+    philox = np.random.Philox(key=np.array([params.rng_seed, 0], dtype=np.uint64))
+    fresh = philox.state
+    return _KeyedNormal(philox, np.random.Generator(philox), fresh, fresh["state"]["key"])
+
+
+def _send_block(plan: _Plan, start: int, end: int, gains: list[float],
+                params: ChannelParams, noise_source: _KeyedNormal) -> Iterator[np.ndarray]:
+    """Captures start..end, quantized, one block per gain in order.
+
+    Each shown display frame is converted and warped once and each capture's
+    noise drawn once, whatever the number of gains; a gain only scales the
+    warped frames before the shared noise is added.
+    """
+    height, width = plan.source.shape[1:3]
+    n_pix = height * width
+    shown, capture_of = np.unique(plan.shown[start:end], return_inverse=True)
+    unit = to_unit(plan.source[shown].transpose(1, 2, 0, 3).reshape(n_pix, -1))
+    warped = plan.warp @ unit
+    philox, rng, fresh, key = noise_source
+    keep = len(gains) > 1
+    noise: list[np.ndarray] = []
+    for gain in gains:
+        observed = (warped * gain).reshape(height, width, -1, 3).transpose(2, 0, 1, 3)[capture_of]
+        if noise:
+            for frame, frame_noise in zip(observed, noise):
+                frame += frame_noise
+        elif params.noise_sigma > 0.0:
+            # The first gain adds each capture's noise as it is drawn, while
+            # it is still in cache, and keeps it only for the gains after it:
+            # a single gain holds no draw past its add, so the quantizer can
+            # reuse its memory.
+            for k, frame in enumerate(observed, start):
+                key[1] = k
+                philox.state = fresh
+                if keep:
+                    noise.append(rng.normal(0.0, params.noise_sigma, size=frame.shape))
+                    frame += noise[-1]
+                else:
+                    frame += rng.normal(0.0, params.noise_sigma, size=frame.shape)
+        yield quantize_unit(observed, params.quantizer_bits)
+
+
 def transmit(frames: np.ndarray, display_fps: Fraction, params: ChannelParams,
              symbol_rate: Fraction | None = None) -> np.ndarray:
     """Push a display clip through the optical channel to sensor frames.
@@ -213,43 +305,17 @@ def transmit(frames: np.ndarray, display_fps: Fraction, params: ChannelParams,
     twice the symbol rate or faster, otherwise captures can miss symbols
     entirely and decoding is hopeless.
     """
-    source = validate_frames(frames)
-    # Display frames per capture: capture k, at (k + 1/2) / camera_fps, shows
-    # display frame floor((k + 1/2) ratio).
-    ratio = as_rate(display_fps, "display_fps") / params.camera_fps
-    if symbol_rate is not None and params.camera_fps < 2 * as_rate(symbol_rate, "symbol_rate"):
-        raise SamplingRateError(
-            f"camera_fps {params.camera_fps} is below twice the symbol rate "
-            f"{symbol_rate}; raise the camera rate or slow the symbols")
-
-    n_in, height, width = source.shape[:3]
-    n_out = max(1, round(n_in / ratio))
-    src_index = np.minimum(floor_progression(n_out, ratio / 2, ratio), n_in - 1)
-
+    plan = _plan(frames, display_fps, params, symbol_rate)
+    n_out = len(plan.shown)
+    height, width = plan.source.shape[1:3]
     gain = normalized_gain(params.geometry)
-    warp = _warp_operator(params.affine.tobytes(), height, width)
-    n_pix = height * width
-
     captured = np.empty((n_out, height, width, 3),
                         dtype=np.uint8 if params.quantizer_bits == 8 else np.float32)
-    # Blocks of about 2^16 values bound the float copies on long clips; a block
-    # ends with the last capture of a display frame, so each is warped once.
-    step = max(1, (1 << 16) // (3 * n_pix))
-    bounds = [0]
-    while bounds[-1] < n_out:
-        last_shown = src_index[min(bounds[-1] + step, n_out) - 1]
-        bounds.append(int(np.searchsorted(src_index, last_shown, side="right")))
-    blocks = iter(zip(bounds[:-1], bounds[1:]))
+    blocks = iter(zip(plan.bounds[:-1], plan.bounds[1:]))
     claim = threading.Lock()
 
     def walk() -> None:
-        # One Philox per thread, reset to key (seed, k) and counter 0 before
-        # capture k draws, so each capture reads its own stream from the start,
-        # as a fresh generator would. A uint64 key keeps big seeds exact.
-        philox = np.random.Philox(key=np.array([params.rng_seed, 0], dtype=np.uint64))
-        rng = np.random.Generator(philox)
-        fresh = philox.state
-        key = fresh["state"]["key"]
+        noise_source = _keyed_normal(params)
         while True:
             # A thread takes the next block when it is free, so a thread the
             # host stalls holds up one block, not a share of the call.
@@ -257,20 +323,13 @@ def transmit(frames: np.ndarray, display_fps: Fraction, params: ChannelParams,
                 start, end = next(blocks, (n_out, n_out))
             if start == n_out:
                 return
-            shown, capture_of = np.unique(src_index[start:end], return_inverse=True)
-            unit = to_unit(source[shown].transpose(1, 2, 0, 3).reshape(n_pix, -1))
-            warped = ((warp @ unit) * gain).reshape(height, width, -1, 3).transpose(2, 0, 1, 3)
-            observed = warped[capture_of]
-            if params.noise_sigma > 0.0:
-                for k, frame in enumerate(observed, start):
-                    key[1] = k
-                    philox.state = fresh
-                    frame += rng.normal(0.0, params.noise_sigma, size=frame.shape)
-            captured[start:end] = quantize_unit(observed, params.quantizer_bits)
+            captured[start:end] = next(_send_block(plan, start, end, [gain], params,
+                                                   noise_source))
 
     # One thread per core and no more threads than blocks. The draws and the
     # warp run without the GIL; the bytes do not depend on the thread count.
-    n_threads = min(_CORES, len(bounds) - 1) if 3 * n_pix >= _SPLIT_MIN_VALUES else 1
+    n_threads = (min(_CORES, len(plan.bounds) - 1)
+                 if 3 * height * width >= _SPLIT_MIN_VALUES else 1)
     if n_threads == 1:
         walk()
         return captured
@@ -280,3 +339,20 @@ def transmit(frames: np.ndarray, display_fps: Fraction, params: ChannelParams,
         for future in futures:
             future.result()
     return captured
+
+
+def transmit_gains(frames: np.ndarray, display_fps: Fraction, params: ChannelParams,
+                   gains: list[float], symbol_rate: Fraction | None = None
+                   ) -> Iterator[Iterator[np.ndarray]]:
+    """transmit at several gains in one pass over the clip, on the calling thread.
+
+    Yields, block by block in capture order, an iterator over the block's
+    captures at each gain in turn; the gains stand in for params.geometry's.
+    Each shown frame is warped once and each capture's noise, keyed as in
+    transmit, is drawn once for all gains, so every gain sees the same noise
+    and its captures are transmit's bytes at a geometry with that gain.
+    """
+    plan = _plan(frames, display_fps, params, symbol_rate)
+    noise_source = _keyed_normal(params)
+    for start, end in zip(plan.bounds[:-1], plan.bounds[1:]):
+        yield _send_block(plan, start, end, gains, params, noise_source)

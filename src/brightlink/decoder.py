@@ -99,6 +99,14 @@ def _rectify_weights(pull: bytes, height: int, width: int,
     return weights
 
 
+def extract_block_frames(height: int, width: int) -> int:
+    """Frames per block in which extract_signal reduces a clip, counted from
+    its first frame: a quarter million pixels bound the float copy on long
+    clips. A sample depends on its block's rows in the last bit, so a caller
+    that feeds a clip in pieces gets the same samples only in these blocks."""
+    return max(1, (1 << 18) // (height * width))
+
+
 def extract_signal(frames: np.ndarray, homography: np.ndarray | None = None,
                    region: tuple[int, int, int, int] | None = None,
                    channel: Color = Color.RED,
@@ -124,8 +132,7 @@ def extract_signal(frames: np.ndarray, homography: np.ndarray | None = None,
                          f"{arr.shape[1:3]}")
     pull = identity_homography() if homography is None else check_homography(homography)
     weights = _rectify_weights(pull.tobytes(), height, width, (x, y, w, h))
-    # Blocks of a quarter million pixels bound the float copy on long clips.
-    step = max(1, (1 << 18) // weights.size)
+    step = extract_block_frames(height, width)
     values = [to_unit(arr[k:k + step, :, :, int(channel)]).reshape(-1, weights.size)
               @ weights for k in range(0, n, step)]
     return SymbolSeries(np.concatenate(values), sample_rate)
@@ -312,17 +319,9 @@ def bit_error_rate(decoded: np.ndarray, reference: np.ndarray) -> float:
     return errors / n
 
 
-def decode_frames(frames: np.ndarray, params: ModulationParams, camera_fps: Fraction,
-                  homography: np.ndarray | None = None,
-                  region: tuple[int, int, int, int] | None = None,
+def decode_series(series: SymbolSeries, params: ModulationParams, camera_fps: Fraction,
                   reference_payload: np.ndarray | None = None) -> DecodeReport:
-    """Run the full receive pipeline over captured frames.
-
-    homography is the forward display-to-sensor mapping used by the channel;
-    captures are rectified back into display coordinates before measuring.
-    """
-    series = extract_signal(frames, homography=homography, region=region,
-                            channel=params.channel, sample_rate=camera_fps)
+    """Decode a sample trace: sync, level estimation, decisions and deframing."""
     sync = synchronize(series, params, camera_fps)
     levels = estimate_levels(series, sync, params)
     symbols = decide_symbols(series, sync, levels, params)
@@ -332,3 +331,18 @@ def decode_frames(frames: np.ndarray, params: ModulationParams, camera_fps: Frac
         ber = bit_error_rate(payload, reference_payload)
     return DecodeReport(payload=payload, series=series, sync=sync, levels=levels,
                         symbols=symbols, crc_ok=crc_ok, ber_vs_reference=ber)
+
+
+def decode_frames(frames: np.ndarray, params: ModulationParams, camera_fps: Fraction,
+                  homography: np.ndarray | None = None,
+                  region: tuple[int, int, int, int] | None = None,
+                  reference_payload: np.ndarray | None = None) -> DecodeReport:
+    """Run the full receive pipeline over captured frames: extract_signal,
+    then decode_series.
+
+    homography is the forward display-to-sensor mapping used by the channel;
+    captures are rectified back into display coordinates before measuring.
+    """
+    series = extract_signal(frames, homography=homography, region=region,
+                            channel=params.channel, sample_rate=camera_fps)
+    return decode_series(series, params, camera_fps, reference_payload)

@@ -1,10 +1,13 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is written the slow, obvious way on purpose and, except
-transmit_reference, must not call into brightlink: these are the oracles the
-tests compare against. transmit_reference is the earlier per-capture channel
-loop, kept to check the block walk that replaced it; it reuses the package's
-resampling map, gain and quantizer, which have oracles of their own here.
+transmit_reference and distance_sweep_reference, must not call into
+brightlink: these are the oracles the tests compare against.
+transmit_reference is the earlier per-capture channel loop, kept to check the
+block walk that replaced it; it reuses the package's resampling map, gain and
+quantizer, which have oracles of their own here. distance_sweep_reference is
+the earlier sweep, one transmit and one decode_frames per distance, kept to
+check the single pass over the clip that replaced it.
 """
 
 from __future__ import annotations
@@ -274,3 +277,46 @@ def transmit_reference(frames: np.ndarray, display_fps, params) -> np.ndarray:
             observed = observed + noise
         captured.append(quantize_unit(observed, params.quantizer_bits))
     return np.stack(captured)
+
+
+def distance_sweep_reference(distances, payload_bits, carrier, modulation, channel,
+                             region=None):
+    """The distance sweep as one transmit and one decode_frames per distance.
+
+    Each distance sends and decodes the whole clip on its own; the rows are
+    built with the package's own formulas, so only the capture and the
+    decode differ from distance_sweep.
+    """
+    from dataclasses import replace
+
+    from brightlink.analysis import (SweepResult, SweepRow, _decision_error_estimate,
+                                     fit_loglog_slope)
+    from brightlink.channel import transmit
+    from brightlink.core import as_bits
+    from brightlink.decoder import decode_frames
+    from brightlink.encoder import encode_stream
+
+    dist = [float(d) for d in distances]
+    payload = as_bits(payload_bits)
+    sent = encode_stream(payload, carrier, modulation)
+    rows = []
+    for d in dist:
+        try:
+            params = replace(channel, geometry=replace(channel.geometry, distance_m=d))
+            captured = transmit(sent, modulation.frame_rate, params,
+                                symbol_rate=modulation.symbol_rate)
+            report = decode_frames(captured, modulation, params.camera_fps,
+                                   homography=params.affine, region=region,
+                                   reference_payload=payload)
+            delta_mu = report.levels.mu1 - report.levels.mu0
+            pe_theory = _decision_error_estimate(report)
+            pe_measured = float(report.ber_vs_reference)
+            n_bits = max(payload.size, 1)
+            ci = 3.0 * math.sqrt(pe_measured * (1.0 - pe_measured) / n_bits)
+            rows.append(SweepRow(d, delta_mu, pe_theory, pe_measured, ci))
+        except (ValueError, RuntimeError) as exc:
+            nan = float("nan")
+            rows.append(SweepRow(d, nan, nan, nan, nan, error=str(exc)))
+    slope = fit_loglog_slope([r.distance_m for r in rows if r.error is None],
+                             [r.delta_mu for r in rows if r.error is None])
+    return SweepResult(rows=tuple(rows), slope=slope)

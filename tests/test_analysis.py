@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brightlink import channel as channel_module
 from brightlink.analysis import (
     BerModel,
     distance_sweep,
@@ -15,10 +18,10 @@ from brightlink.analysis import (
     theoretical_ber,
 )
 from brightlink.channel import ChannelGeometry, ChannelParams, transmit
-from brightlink.core import ModulationParams, as_bits
-from brightlink.decoder import central_windows, decode_frames
+from brightlink.core import ModulationParams, as_bits, to_unit
+from brightlink.decoder import central_windows, decode_frames, extract_block_frames
 from brightlink.encoder import encode_stream, frames_needed, make_carrier
-from reference import q_reference
+from reference import capture_count_reference, distance_sweep_reference, q_reference
 
 # Q(2) to machine precision; the usual tabulated value is 0.0228.
 Q_AT_2 = 0.022750131948179216
@@ -231,3 +234,177 @@ class TestDistanceSweep:
         modulation, payload, carrier, channel = _sweep_setup()
         with pytest.raises(ValueError, match="3 distances"):
             distance_sweep([1.0, 2.0], payload, carrier, modulation, channel)
+
+
+WARP = np.array([[0.95, -0.066, 2.7], [0.066, 0.95, -0.35], [0.0002, -0.0001, 1.0]])
+# Two rows fail on every clip: -1 m is no geometry, and at 1e9 m the swing is
+# lost in the noise or under the quantizer's step.
+SWEEP_DISTANCES = (1.0, 1.5, -1.0, 2.0, 3.0, 1e9)
+
+
+def assert_sweeps_equal(got, expected):
+    """Rows equal field by field; a failed row matches by its error text."""
+    assert len(got.rows) == len(expected.rows)
+    for row, ref in zip(got.rows, expected.rows):
+        assert row.error == ref.error
+        if ref.error is None:
+            assert row == ref
+        else:
+            assert row.distance_m == ref.distance_m
+            assert all(math.isnan(v) for v in (row.delta_mu, row.pe_theory,
+                                               row.pe_measured, row.ci_halfwidth))
+    assert got.slope == expected.slope or (math.isnan(got.slope)
+                                           and math.isnan(expected.slope))
+
+
+def sweep_case(width, height, camera_fps, m, bits, noise, region=None,
+               frames_per_symbol=3, payload="1011001110001111"):
+    modulation = ModulationParams(m=m, symbol_duration_frames=frames_per_symbol,
+                                  depth=0.09)
+    payload = as_bits(payload)
+    carrier = make_carrier("gradient", width, height,
+                           frames_needed(payload.size, modulation))
+    channel = ChannelParams(noise_sigma=noise, quantizer_bits=bits, camera_fps=camera_fps,
+                            affine=WARP, rng_seed=2**64 - 5)
+    return payload, carrier, modulation, channel, region
+
+
+class TestSweepMatchesPerDistanceLoop:
+    """distance_sweep sends the clip once for all distances; every row must be
+    what one transmit and one decode_frames per distance give
+    (tests/reference.py)."""
+
+    @pytest.mark.parametrize("case", [
+        (32, 24, 24.0, 2, 8, 0.003, None),
+        (48, 36, 30.0, 4, 16, 0.0, (4, 3, 40, 30)),
+        (32, 24, 60.0, 8, 8, 0.002, (2, 2, 24, 18)),
+        (64, 48, Fraction(30000, 1001), 2, 16, 0.004, None),
+        (40, 30, Fraction(30000, 1001), 4, 8, 0.0, None),
+        (48, 36, 60.0, 2, 8, 0.0, None),
+    ], ids=["24fps_m2_8bit", "30fps_m4_16bit_region", "60fps_m8_8bit_region",
+            "ntsc_m2_16bit", "ntsc_m4_8bit_noiseless", "60fps_m2_8bit_noiseless"])
+    def test_rows_match(self, case):
+        payload, carrier, modulation, channel, region = sweep_case(*case)
+        args = (payload, carrier, modulation, channel, region)
+        assert_sweeps_equal(distance_sweep(SWEEP_DISTANCES, *args),
+                            distance_sweep_reference(SWEEP_DISTANCES, *args))
+
+    def test_partial_last_stage(self):
+        # 60 fps captures of a 30 fps clip of 32x24 frames: 576 captures, one
+        # full stage of 341 and a last one of 235.
+        payload, carrier, modulation, channel, region = sweep_case(32, 24, 60.0, 2, 16,
+                                                                   0.002)
+        n_captures = capture_count_reference(len(encode_stream(payload, carrier, modulation)),
+                                             modulation.frame_rate, channel.camera_fps)
+        block = extract_block_frames(24, 32)
+        assert n_captures > block and n_captures % block
+        args = (payload, carrier, modulation, channel, region)
+        assert_sweeps_equal(distance_sweep(SWEEP_DISTANCES, *args),
+                            distance_sweep_reference(SWEEP_DISTANCES, *args))
+
+    def test_frames_of_more_than_2_16_values(self):
+        # A 160x140 frame holds 67,200 values: a channel block is one display
+        # frame's captures and an extract_signal stage 11 captures.
+        payload, carrier, modulation, channel, region = sweep_case(
+            160, 140, 60.0, 2, 16, 0.003, frames_per_symbol=2, payload="1011")
+        args = (payload, carrier, modulation, channel, region)
+        assert_sweeps_equal(distance_sweep([1.0, 2.0, 1e9], *args),
+                            distance_sweep_reference([1.0, 2.0, 1e9], *args))
+
+    @pytest.mark.parametrize("camera_fps", [30.0, 60.0])
+    def test_a_row_that_cannot_be_extracted_fails_alone(self, camera_fps):
+        # At 1e-160 m the gain overflows to inf, so the 16-bit captures hold
+        # NaN and extract_signal refuses them: in the last, partial stage at
+        # 30 fps (288 captures), and in the first, full one at 60 fps (576).
+        payload, carrier, modulation, channel, region = sweep_case(32, 24, camera_fps, 2,
+                                                                   16, 0.002)
+        distances = [1e-160, 1.0, 2.0, 3.0]
+        with np.errstate(invalid="ignore"):
+            result = distance_sweep(distances, payload, carrier, modulation, channel)
+            expected = distance_sweep_reference(distances, payload, carrier, modulation,
+                                                channel)
+        assert_sweeps_equal(result, expected)
+        assert [row.error is None for row in result.rows] == [False, True, True, True]
+        assert "finite" in result.rows[0].error
+
+    def test_sampling_guard_fails_every_open_row(self):
+        payload, carrier, modulation, channel, region = sweep_case(32, 24, 8.0, 2, 8,
+                                                                   0.002)
+        result = distance_sweep(SWEEP_DISTANCES, payload, carrier, modulation, channel)
+        assert_sweeps_equal(result, distance_sweep_reference(
+            SWEEP_DISTANCES, payload, carrier, modulation, channel))
+        errors = {row.error for row in result.rows if row.distance_m != -1.0}
+        assert len(errors) == 1 and "below twice the symbol rate" in errors.pop()
+
+
+class TestSweepWork:
+    """One pass over the clip, whatever the number of distances."""
+
+    @pytest.mark.parametrize("n_distances", [3, 6])
+    def test_each_frame_warped_and_each_capture_drawn_once(self, monkeypatch,
+                                                           n_distances):
+        # At 45 fps a display frame spans 1.5 captures, and every frame is shown.
+        payload, carrier, modulation, channel, region = sweep_case(32, 24, 45.0, 2, 8,
+                                                                   0.003)
+        n_frames = len(encode_stream(payload, carrier, modulation))
+        converted, warped, drawn = [], [], []
+        build_warp, keyed_normal = channel_module._warp_operator, channel_module._keyed_normal
+
+        def counting_to_unit(pixels):
+            converted.append(pixels.shape[1] // 3)
+            return to_unit(pixels)
+
+        class CountingWarp:
+            def __init__(self, warp):
+                self.warp = warp
+
+            def __matmul__(self, unit):
+                warped.append(unit.shape[1] // 3)
+                return self.warp @ unit
+
+        def counting_keyed_normal(params):
+            source = keyed_normal(params)
+
+            class CountingGenerator:
+                def normal(self, *args, **kwargs):
+                    drawn.append(int(source.key[1]))
+                    return source.rng.normal(*args, **kwargs)
+
+            return source._replace(rng=CountingGenerator())
+
+        monkeypatch.setattr(channel_module, "to_unit", counting_to_unit)
+        monkeypatch.setattr(channel_module, "_warp_operator",
+                            lambda *key: CountingWarp(build_warp(*key)))
+        monkeypatch.setattr(channel_module, "_keyed_normal", counting_keyed_normal)
+        distances = [1.0 + 0.5 * k for k in range(n_distances)]
+        result = distance_sweep(distances, payload, carrier, modulation, channel)
+        assert all(row.error is None for row in result.rows)
+        assert sum(converted) == sum(warped) == n_frames
+        assert drawn == list(range(capture_count_reference(n_frames, 30, 45)))
+
+
+class TestSweepMemory:
+    """Each distance holds one extract_signal stage, not its captured clip."""
+
+    @pytest.mark.parametrize("bits, itemsize", [(8, 1), (16, 4)])
+    def test_doubling_the_distances_adds_one_stage_each(self, bits, itemsize):
+        # 96x72 frames: a stage is 37 captures, a clip 288.
+        payload, carrier, modulation, channel, region = sweep_case(96, 72, 30.0, 2, bits,
+                                                                   0.002)
+        n_captures = len(encode_stream(payload, carrier, modulation))
+        per_distance = (1 << 18) * 3 * itemsize
+        assert n_captures * 96 * 72 * 3 * itemsize > 4 * per_distance
+
+        def peak(n_distances):
+            distances = [1.0 + 0.25 * k for k in range(n_distances)]
+            tracemalloc.start()
+            try:
+                result = distance_sweep(distances, payload, carrier, modulation, channel)
+                _, peak_bytes = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert all(row.error is None for row in result.rows)
+            return peak_bytes
+
+        peak(3)  # builds the kept warp and weights outside the measured runs
+        assert peak(6) - peak(3) <= 3 * per_distance

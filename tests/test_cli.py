@@ -355,3 +355,21 @@ def test_decode_artifacts_are_pinned(tmp_path, text, report_digest, csv_digest):
     assert code == EXIT_OK
     assert hashlib.sha256(report.read_bytes()).hexdigest() == report_digest
     assert hashlib.sha256(csv.read_bytes()).hexdigest() == csv_digest
+
+
+@pytest.mark.parametrize("text, csv_digest", [
+    (WARPED_M4_CFG, "676af5e7d338af20bfc347e8c25f718527ab368719ce54ab564f752aceb17aee"),
+    (NTSC_M8_CFG, "b71cec996f47663597f9a0cffacbe9897fc56196344dc2fc8cd1ebb71aae8eef"),
+], ids=["warped_m4", "ntsc_m8"])
+def test_sweep_csv_is_pinned(tmp_path, capsys, text, csv_digest):
+    # Recorded when the sweep sent and decoded the clip once per distance; the
+    # 1e9 m row fails and is printed as NaN.
+    cfg = tmp_path / "link.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(cfg), "--distances", "1,1.5,2,3,1e9",
+                 "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_digest
+    err = capsys.readouterr().err
+    assert err.count("failed") == 1
+    assert "distance 1000000000 m failed: best preamble correlation" in err

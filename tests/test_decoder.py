@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -28,6 +29,7 @@ from brightlink.decoder import (
     central_windows,
     decide_symbols,
     decode_frames,
+    decode_series,
     deframe,
     estimate_levels,
     extract_signal,
@@ -424,6 +426,49 @@ class TestDecodeFrames:
         frames = make_carrier("gray128", 8, 8, 600)
         with pytest.raises(ValueError, match="singular"):
             decode_frames(frames, OOK, 30.0, homography=np.zeros((3, 3)))
+
+
+WARP = np.array([[0.95, -0.066, 2.7], [0.066, 0.95, -0.35], [0.0002, -0.0001, 1.0]])
+
+
+class TestDecodeSeries:
+    """decode_frames is extract_signal followed by decode_series."""
+
+    @pytest.mark.parametrize("m, camera_fps, homography, region", [
+        (4, 30.0, WARP, (8, 6, 48, 36)),
+        (8, Fraction(30000, 1001), None, None),
+    ], ids=["warped_region", "ntsc"])
+    def test_decode_frames_is_extract_then_decode_series(self, m, camera_fps,
+                                                         homography, region):
+        params = ModulationParams(m=m, symbol_duration_frames=5, depth=0.09)
+        payload = as_bits("110100111000101101011001")
+        carrier = make_carrier("gradient", 64, 48, frames_needed(payload.size, params))
+        channel = ChannelParams(noise_sigma=0.002, camera_fps=camera_fps, rng_seed=9,
+                                affine=identity_homography() if homography is None
+                                else homography)
+        captured = transmit(encode_stream(payload, carrier, params), params.frame_rate,
+                            channel)
+        whole = decode_frames(captured, params, camera_fps, homography=homography,
+                              region=region, reference_payload=payload)
+        series = extract_signal(captured, homography=homography, region=region,
+                                channel=params.channel, sample_rate=camera_fps)
+        staged = decode_series(series, params, camera_fps, reference_payload=payload)
+        assert whole.crc_ok and whole.ber_vs_reference == 0.0
+        for field in dataclasses.fields(whole):
+            got, expected = getattr(staged, field.name), getattr(whole, field.name)
+            if field.name == "series":
+                assert got.sample_rate == expected.sample_rate
+                got, expected = got.values, expected.values
+            if field.name == "levels":
+                assert (got.mu0, got.mu1, got.sigma) == (expected.mu0, expected.mu1,
+                                                         expected.sigma)
+                assert np.array_equal(got.level_means, expected.level_means)
+                got, expected = got.thresholds, expected.thresholds
+            if isinstance(expected, np.ndarray):
+                assert got.dtype == expected.dtype
+                assert np.array_equal(got, expected), field.name
+            else:
+                assert got == expected, field.name
 
 
 @pytest.mark.parametrize("frames_per_symbol", [3, 5, 6])
