@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -176,15 +177,15 @@ def _receive(sent: np.ndarray, modulation: ModulationParams, channel: ChannelPar
                                channel=modulation.channel, sample_rate=channel.camera_fps)
               for i in gains}
     try:
-        for blocks in transmit_gains(sent, modulation.frame_rate, channel,
+        sent_blocks = transmit_gains(sent, modulation.frame_rate, channel,
                                      list(gains.values()),
-                                     symbol_rate=modulation.symbol_rate):
-            for i, block in zip(gains, blocks):
-                if i not in errors:
-                    try:
-                        stages[i].add(block)
-                    except (ValueError, RuntimeError) as exc:
-                        errors[i] = str(exc)
+                                     symbol_rate=modulation.symbol_rate)
+        for i, block in zip(itertools.cycle(gains), sent_blocks):
+            if i not in errors:
+                try:
+                    stages[i].add(block)
+                except (ValueError, RuntimeError) as exc:
+                    errors[i] = str(exc)
     except (ValueError, RuntimeError) as exc:
         errors.update((i, str(exc)) for i in gains if i not in errors)
     return {i: stage for i, stage in stages.items() if i not in errors}

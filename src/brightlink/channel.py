@@ -249,41 +249,35 @@ def _keyed_normal(params: ChannelParams) -> _KeyedNormal:
     return _KeyedNormal(philox, np.random.Generator(philox), fresh, fresh["state"]["key"])
 
 
-def _send_block(plan: _Plan, start: int, end: int, gains: list[float],
-                params: ChannelParams, noise_source: _KeyedNormal) -> Iterator[np.ndarray]:
-    """Captures start..end, quantized, one block per gain in order.
+def _walk(plan: _Plan, blocks: Iterator[tuple[int, int]], gains: list[float],
+          params: ChannelParams) -> Iterator[tuple[int, np.ndarray]]:
+    """Send each block of captures taken from blocks at every gain.
 
-    Each shown display frame is converted and warped once and each capture's
-    noise drawn once, whatever the number of gains; a gain only scales the
-    warped frames before the shared noise is added.
+    Yields, for each block and then for each gain in order, the block's first
+    capture index and its captures, quantized. Each shown display frame is
+    converted and warped once and each capture's noise drawn once, whatever
+    the number of gains; a gain only scales the warped frames before the
+    block's draws are added. A gain's captures are made once the caller has
+    taken the gain before it, so one gain's floats are held at a time.
     """
     height, width = plan.source.shape[1:3]
     n_pix = height * width
-    shown, capture_of = np.unique(plan.shown[start:end], return_inverse=True)
-    unit = to_unit(plan.source[shown].transpose(1, 2, 0, 3).reshape(n_pix, -1))
-    warped = plan.warp @ unit
-    philox, rng, fresh, key = noise_source
-    keep = len(gains) > 1
-    noise: list[np.ndarray] = []
-    for gain in gains:
-        observed = (warped * gain).reshape(height, width, -1, 3).transpose(2, 0, 1, 3)[capture_of]
-        if noise:
-            for frame, frame_noise in zip(observed, noise):
-                frame += frame_noise
-        elif params.noise_sigma > 0.0:
-            # The first gain adds each capture's noise as it is drawn, while
-            # it is still in cache, and keeps it only for the gains after it:
-            # a single gain holds no draw past its add, so the quantizer can
-            # reuse its memory.
-            for k, frame in enumerate(observed, start):
+    philox, rng, fresh, key = _keyed_normal(params)
+    for start, end in blocks:
+        shown, capture_of = np.unique(plan.shown[start:end], return_inverse=True)
+        unit = to_unit(plan.source[shown].transpose(1, 2, 0, 3).reshape(n_pix, -1))
+        warped = plan.warp @ unit
+        noise = []
+        if params.noise_sigma > 0.0:
+            for k in range(start, end):
                 key[1] = k
                 philox.state = fresh
-                if keep:
-                    noise.append(rng.normal(0.0, params.noise_sigma, size=frame.shape))
-                    frame += noise[-1]
-                else:
-                    frame += rng.normal(0.0, params.noise_sigma, size=frame.shape)
-        yield quantize_unit(observed, params.quantizer_bits)
+                noise.append(rng.normal(0.0, params.noise_sigma, size=(height, width, 3)))
+        for gain in gains:
+            observed = (warped * gain).reshape(height, width, -1, 3).transpose(2, 0, 1, 3)[capture_of]
+            for frame, draw in zip(observed, noise):
+                frame += draw
+            yield start, quantize_unit(observed, params.quantizer_bits)
 
 
 def transmit(frames: np.ndarray, display_fps: Fraction, params: ChannelParams,
@@ -306,25 +300,22 @@ def transmit(frames: np.ndarray, display_fps: Fraction, params: ChannelParams,
     entirely and decoding is hopeless.
     """
     plan = _plan(frames, display_fps, params, symbol_rate)
-    n_out = len(plan.shown)
     height, width = plan.source.shape[1:3]
     gain = normalized_gain(params.geometry)
-    captured = np.empty((n_out, height, width, 3),
+    captured = np.empty((len(plan.shown), height, width, 3),
                         dtype=np.uint8 if params.quantizer_bits == 8 else np.float32)
     blocks = iter(zip(plan.bounds[:-1], plan.bounds[1:]))
     claim = threading.Lock()
 
+    def claim_next() -> tuple[int, int] | None:
+        # A thread takes the next block when it is free, so a thread the
+        # host stalls holds up one block, not a share of the call.
+        with claim:
+            return next(blocks, None)
+
     def walk() -> None:
-        noise_source = _keyed_normal(params)
-        while True:
-            # A thread takes the next block when it is free, so a thread the
-            # host stalls holds up one block, not a share of the call.
-            with claim:
-                start, end = next(blocks, (n_out, n_out))
-            if start == n_out:
-                return
-            captured[start:end] = next(_send_block(plan, start, end, [gain], params,
-                                                   noise_source))
+        for start, captures in _walk(plan, iter(claim_next, None), [gain], params):
+            captured[start:start + len(captures)] = captures
 
     # One thread per core and no more threads than blocks. The draws and the
     # warp run without the GIL; the bytes do not depend on the thread count.
@@ -343,16 +334,15 @@ def transmit(frames: np.ndarray, display_fps: Fraction, params: ChannelParams,
 
 def transmit_gains(frames: np.ndarray, display_fps: Fraction, params: ChannelParams,
                    gains: list[float], symbol_rate: Fraction | None = None
-                   ) -> Iterator[Iterator[np.ndarray]]:
+                   ) -> Iterator[np.ndarray]:
     """transmit at several gains in one pass over the clip, on the calling thread.
 
-    Yields, block by block in capture order, an iterator over the block's
-    captures at each gain in turn; the gains stand in for params.geometry's.
-    Each shown frame is warped once and each capture's noise, keyed as in
-    transmit, is drawn once for all gains, so every gain sees the same noise
-    and its captures are transmit's bytes at a geometry with that gain.
+    Yields, block by block in capture order, the block's captures at each
+    gain in turn; the gains stand in for params.geometry's. Each shown frame
+    is warped once and each capture's noise, keyed as in transmit, is drawn
+    once for all gains, so every gain sees the same noise and its captures
+    are transmit's bytes at a geometry with that gain.
     """
     plan = _plan(frames, display_fps, params, symbol_rate)
-    noise_source = _keyed_normal(params)
-    for start, end in zip(plan.bounds[:-1], plan.bounds[1:]):
-        yield _send_block(plan, start, end, gains, params, noise_source)
+    for _, captures in _walk(plan, zip(plan.bounds[:-1], plan.bounds[1:]), gains, params):
+        yield captures
