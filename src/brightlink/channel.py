@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import sparse
 
-from .core import (as_rate, as_seed, floor_progression, quantize_unit, to_unit,
+from .core import (Color, as_rate, as_seed, floor_progression, quantize_unit, to_unit,
                    validate_frames)
 
 # CPUs this process may run on: the most threads one transmit call uses.
@@ -81,10 +81,16 @@ def normalized_gain(geometry: ChannelGeometry) -> float:
 
     The reference keeps pixel amplitudes in a usable range: a head-on capture
     at one meter reproduces the display values, and everything else scales by
-    cos(phi) * cos(theta) / d^2.
+    cos(phi) * cos(theta) / d^2. A gain that is no finite float is a ValueError.
     """
     reference = replace(geometry, distance_m=1.0, phi_rad=0.0, theta_rad=0.0)
-    return geometric_gain(geometry) / geometric_gain(reference)
+    try:
+        gain = geometric_gain(geometry) / geometric_gain(reference)
+    except ArithmeticError:  # d^2 underflows to zero or overflows
+        gain = math.nan
+    if not math.isfinite(gain):
+        raise ValueError(f"distance {geometry.distance_m} m gives no finite gain")
+    return gain
 
 
 @dataclass(frozen=True)
@@ -231,53 +237,44 @@ def _plan(frames: np.ndarray, display_fps: Fraction, params: ChannelParams,
                  _warp_operator(params.affine.tobytes(), height, width))
 
 
-class _KeyedNormal(NamedTuple):
-    """Capture k's noise: one Philox, reset to key (seed, k) and counter 0
-    before each draw, so each capture reads its own stream from the start, as
-    a fresh generator would. A uint64 key keeps big seeds exact. One per
-    thread."""
-
-    philox: np.random.Philox
-    rng: np.random.Generator
-    fresh: dict      # the Philox state at key (seed, 0), counter 0
-    key: np.ndarray  # fresh's key, set to (seed, k) before capture k draws
-
-
-def _keyed_normal(params: ChannelParams) -> _KeyedNormal:
-    philox = np.random.Philox(key=np.array([params.rng_seed, 0], dtype=np.uint64))
-    fresh = philox.state
-    return _KeyedNormal(philox, np.random.Generator(philox), fresh, fresh["state"]["key"])
-
-
 def _walk(plan: _Plan, blocks: Iterator[tuple[int, int]], gains: list[float],
-          params: ChannelParams) -> Iterator[tuple[int, np.ndarray]]:
+          params: ChannelParams, plane: int | None = None
+          ) -> Iterator[tuple[int, np.ndarray]]:
     """Send each block of captures taken from blocks at every gain.
 
     Yields, for each block and then for each gain in order, the block's first
-    capture index and its captures, quantized. Each shown display frame is
-    converted and warped once and each capture's noise drawn once, whatever
-    the number of gains; a gain only scales the warped frames before the
-    block's draws are added. A gain's captures are made once the caller has
-    taken the gain before it, so one gain's floats are held at a time.
+    capture index and its captures, quantized: (n, h, w, 3), or (n, h, w) of
+    colour plane `plane` alone. Each shown frame is converted and warped once
+    and each capture's noise drawn once, at (h, w, 3), whatever the number of
+    gains; a gain only scales the warped frames before the draws are added.
+    One gain's floats are held at a time, and freed before the next block.
     """
     height, width = plan.source.shape[1:3]
-    n_pix = height * width
-    philox, rng, fresh, key = _keyed_normal(params)
+    planes = (slice(None),) if plane is None else (plane,)
+    # Capture k reads the stream of key (seed, k) from its start, as a fresh
+    # Philox would; a uint64 key keeps big seeds exact.
+    philox = np.random.Philox(key=np.array([params.rng_seed, 0], dtype=np.uint64))
+    fresh, rng = philox.state, np.random.Generator(philox)
+    key = fresh["state"]["key"]
     for start, end in blocks:
         shown, capture_of = np.unique(plan.shown[start:end], return_inverse=True)
-        unit = to_unit(plan.source[shown].transpose(1, 2, 0, 3).reshape(n_pix, -1))
-        warped = plan.warp @ unit
+        # Columns run over shown frames, then planes: (h w, shown [, 3]).
+        pixels = np.moveaxis(plan.source[(shown, ...) + planes], 0, 2)
+        warped = plan.warp @ to_unit(pixels.reshape(height * width, -1))
         noise = []
         if params.noise_sigma > 0.0:
             for k in range(start, end):
                 key[1] = k
                 philox.state = fresh
-                noise.append(rng.normal(0.0, params.noise_sigma, size=(height, width, 3)))
+                draw = rng.normal(0.0, params.noise_sigma, size=(height, width, 3))
+                noise.append(draw if plane is None else draw[..., plane])
         for gain in gains:
-            observed = (warped * gain).reshape(height, width, -1, 3).transpose(2, 0, 1, 3)[capture_of]
+            observed = np.moveaxis((warped * gain).reshape(pixels.shape), 2, 0)[capture_of]
             for frame, draw in zip(observed, noise):
                 frame += draw
             yield start, quantize_unit(observed, params.quantizer_bits)
+            del observed
+        del warped, noise
 
 
 def transmit(frames: np.ndarray, display_fps: Fraction, params: ChannelParams,
@@ -287,21 +284,19 @@ def transmit(frames: np.ndarray, display_fps: Fraction, params: ChannelParams,
     Each capture is the display frame on screen at its instant (the later one
     on a frame boundary; rates are exact), warped through the homography,
     scaled by the normalized geometric gain, plus white Gaussian noise keyed
-    by (seed, capture index), quantized to the sensor bit depth. The warp is
-    one sparse operator, built once per homography and frame size and kept
-    after the call (72 bytes per pixel) until a call with another homography
-    or frame size builds the next, applied to blocks of captures that end on
-    display-frame boundaries, so each shown frame is warped once.
-    With frames of 2^16 values or more, one thread per CPU takes the blocks
-    one at a time.
+    by (seed, capture index), quantized to the sensor bit depth. The warp, one
+    sparse operator kept after the call (see _warp_operator), is applied to
+    blocks of captures that end on display-frame boundaries, so each shown
+    frame is warped once. With frames of 2^16 values or more, one thread per
+    CPU takes the blocks one at a time.
 
     Passing symbol_rate enables the sampling guard: the camera must run at
     twice the symbol rate or faster, otherwise captures can miss symbols
     entirely and decoding is hopeless.
     """
+    gain = normalized_gain(params.geometry)
     plan = _plan(frames, display_fps, params, symbol_rate)
     height, width = plan.source.shape[1:3]
-    gain = normalized_gain(params.geometry)
     captured = np.empty((len(plan.shown), height, width, 3),
                         dtype=np.uint8 if params.quantizer_bits == 8 else np.float32)
     blocks = iter(zip(plan.bounds[:-1], plan.bounds[1:]))
@@ -333,16 +328,18 @@ def transmit(frames: np.ndarray, display_fps: Fraction, params: ChannelParams,
 
 
 def transmit_gains(frames: np.ndarray, display_fps: Fraction, params: ChannelParams,
-                   gains: list[float], symbol_rate: Fraction | None = None
+                   gains: list[float], plane: Color, symbol_rate: Fraction | None = None
                    ) -> Iterator[np.ndarray]:
-    """transmit at several gains in one pass over the clip, on the calling thread.
+    """transmit's colour plane `plane` at several gains, in one pass over the
+    clip, on the calling thread.
 
-    Yields, block by block in capture order, the block's captures at each
-    gain in turn; the gains stand in for params.geometry's. Each shown frame
-    is warped once and each capture's noise, keyed as in transmit, is drawn
-    once for all gains, so every gain sees the same noise and its captures
-    are transmit's bytes at a geometry with that gain.
+    Yields, block by block in capture order, the block's (n, h, w) captures at
+    each gain in turn; the gains stand in for params.geometry's. Only that
+    plane is warped, each shown frame once, and each capture's noise is drawn
+    as in transmit once for all gains, so every gain's captures are that plane
+    of transmit's bytes at a geometry with that gain.
     """
     plan = _plan(frames, display_fps, params, symbol_rate)
-    for _, captures in _walk(plan, zip(plan.bounds[:-1], plan.bounds[1:]), gains, params):
+    for _, captures in _walk(plan, zip(plan.bounds[:-1], plan.bounds[1:]), gains, params,
+                             int(plane)):
         yield captures

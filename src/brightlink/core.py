@@ -191,6 +191,11 @@ def validate_frames(frames: np.ndarray) -> np.ndarray:
         raise ValueError("frame sequence must contain at least one frame")
     if arr.shape[1] < 1 or arr.shape[2] < 1:
         raise ValueError(f"frames must be at least 1x1, got {arr.shape}")
+    return check_pixels(arr)
+
+
+def check_pixels(arr: np.ndarray) -> np.ndarray:
+    """arr, once its pixels are uint8, or float, finite and within [0, 1]."""
     if np.issubdtype(arr.dtype, np.floating):
         if not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0:
             raise ValueError("float pixels must be finite and lie in [0, 1]")

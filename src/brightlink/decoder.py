@@ -15,6 +15,7 @@ from .core import (
     ModulationParams,
     SymbolSeries,
     as_rate,
+    check_pixels,
     floor_progression,
     symbols_to_bits,
     to_unit,
@@ -100,10 +101,9 @@ def _rectify_weights(pull: bytes, height: int, width: int,
 
 
 def extract_block_frames(height: int, width: int) -> int:
-    """Frames per block in which extract_signal reduces a clip, counted from
-    its first frame: a quarter million pixels bound the float copy on long
-    clips. A sample depends on its block's rows in the last bit, so a caller
-    that feeds a clip in pieces gets the same samples only in these blocks."""
+    """Frames per block in which extract_signal reduces a clip, counted from its
+    first frame: a quarter million pixels bound the float copy on long clips. A
+    sample depends on its block's rows in the last bit (see StagedSignal)."""
     return max(1, (1 << 18) // (height * width))
 
 
@@ -123,19 +123,74 @@ def extract_signal(frames: np.ndarray, homography: np.ndarray | None = None,
     another homography, frame size or region builds the next.
     """
     arr = validate_frames(frames)
-    n, height, width = arr.shape[:3]
+    return SymbolSeries(_plane_samples(arr[..., int(channel)], homography, region),
+                        sample_rate)
+
+
+def _plane_samples(planes: np.ndarray, homography, region) -> np.ndarray:
+    """extract_signal's samples of checked (n, h, w) planes, in its blocks."""
+    n, height, width = planes.shape
     x, y, w, h = (0, 0, width, height) if region is None else (int(v) for v in region)
     if w < 1 or h < 1:
         raise ValueError(f"region must have positive size, got {region}")
     if x < 0 or y < 0 or y + h > height or x + w > width:
         raise ValueError(f"region {region} falls outside frames of shape "
-                         f"{arr.shape[1:3]}")
+                         f"{(height, width)}")
     pull = identity_homography() if homography is None else check_homography(homography)
     weights = _rectify_weights(pull.tobytes(), height, width, (x, y, w, h))
     step = extract_block_frames(height, width)
-    values = [to_unit(arr[k:k + step, :, :, int(channel)]).reshape(-1, weights.size)
-              @ weights for k in range(0, n, step)]
-    return SymbolSeries(np.concatenate(values), sample_rate)
+    return np.concatenate([to_unit(planes[k:k + step]).reshape(-1, weights.size) @ weights
+                           for k in range(0, n, step)])
+
+
+class StagedSignal:
+    """One colour plane of a capture stream reduced to samples as it arrives.
+
+    add takes the plane's captures in order, in (n, h, w) blocks of any size,
+    and refuses values as validate_frames does. They are reduced in
+    extract_block_frames blocks from capture 0, whole ones straight from the
+    caller's array and the rest through a stage of one block, so series() is
+    bit for bit extract_signal on the whole clip with the same arguments.
+    """
+
+    def __init__(self, homography=None, region=None, sample_rate=Fraction(1)):
+        self.homography, self.region, self.sample_rate = homography, region, sample_rate
+        self.stage, self.filled, self.values = None, 0, []  # stage: one block's captures
+
+    def add(self, planes: np.ndarray) -> None:
+        """Reduce the next captures: uint8, or float within [0, 1]."""
+        arr = np.asarray(planes)
+        if arr.ndim != 3 or self.stage is not None and (arr.shape[1:], arr.dtype) != (
+                self.stage.shape[1:], self.stage.dtype):
+            raise ValueError(f"planes must come in (n, h, w) blocks of one frame size "
+                             f"and dtype, got {arr.shape} {arr.dtype}")
+        check_pixels(arr)
+        if self.stage is None:
+            self.stage = np.empty((extract_block_frames(*arr.shape[1:]), *arr.shape[1:]),
+                                  arr.dtype)
+        step = len(self.stage)
+        if self.filled:
+            take = min(step - self.filled, len(arr))
+            self.stage[self.filled:self.filled + take] = arr[:take]
+            self.filled, arr = self.filled + take, arr[take:]
+            if self.filled < step:
+                return
+            self._extract(self.stage)
+        whole = len(arr) - len(arr) % step
+        if whole:
+            self._extract(arr[:whole])
+        self.filled = len(arr) - whole
+        self.stage[:self.filled] = arr[whole:]
+
+    def _extract(self, planes: np.ndarray) -> None:
+        self.values.append(_plane_samples(planes, self.homography, self.region))
+        self.filled = 0
+
+    def series(self) -> SymbolSeries:
+        """The samples of the whole stream, once every capture has been added."""
+        if self.filled:
+            self._extract(self.stage[:self.filled])
+        return SymbolSeries(np.concatenate(self.values), self.sample_rate)
 
 
 def received_frames_per_symbol(params: ModulationParams, camera_fps: Fraction) -> Fraction:

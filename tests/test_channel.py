@@ -196,6 +196,17 @@ class TestTransmit:
         assert base[0, 0, 0, 0] == 128
         assert far[0, 0, 0, 0] == 32
 
+    @pytest.mark.parametrize("bits", [8, 16])
+    @pytest.mark.parametrize("distance_m", [1e-155, 1e-200, 1e200])
+    def test_a_gain_that_is_no_finite_float_is_refused(self, bits, distance_m):
+        # 1e-155 m overflows the gain to inf (NaN or garbage captures before),
+        # 1e-200 m underflows d^2 to zero and 1e200 m overflows it.
+        frames = make_carrier("gradient", 16, 12, 4)
+        params = ChannelParams(geometry=ChannelGeometry(distance_m=distance_m),
+                               noise_sigma=0.01, quantizer_bits=bits)
+        with pytest.raises(ValueError, match="finite"):
+            transmit(frames, 30.0, params)
+
     def test_same_seed_reproduces_noise_exactly(self):
         frames = make_carrier("gradient", 16, 12, 6)
         params = ChannelParams(noise_sigma=0.01, rng_seed=42)

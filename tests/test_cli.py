@@ -92,6 +92,11 @@ carrier.width = 48
 carrier.height = 36
 """
 
+# The warped link on the green plane at 16 bits, which only the sweep can send.
+GREEN_16BIT_CFG = WARPED_M4_CFG + """modulation.channel = green
+channel.quantizer_bits = 16
+"""
+
 
 class TestLinkRoundTrip:
     def test_encode_channel_decode(self, tmp_path, demo_cfg, capsys):
@@ -360,10 +365,12 @@ def test_decode_artifacts_are_pinned(tmp_path, text, report_digest, csv_digest):
 @pytest.mark.parametrize("text, csv_digest", [
     (WARPED_M4_CFG, "676af5e7d338af20bfc347e8c25f718527ab368719ce54ab564f752aceb17aee"),
     (NTSC_M8_CFG, "b71cec996f47663597f9a0cffacbe9897fc56196344dc2fc8cd1ebb71aae8eef"),
-], ids=["warped_m4", "ntsc_m8"])
+    (GREEN_16BIT_CFG, "e0a46477cec8273533f13b000464846bcbcc1fb0dcb2b3700c181be532bd5f66"),
+], ids=["warped_m4", "ntsc_m8", "green_16bit"])
 def test_sweep_csv_is_pinned(tmp_path, capsys, text, csv_digest):
-    # Recorded when the sweep sent and decoded the clip once per distance; the
-    # 1e9 m row fails and is printed as NaN.
+    # The first two were recorded when the sweep sent and decoded the clip once
+    # per distance, green_16bit when it sent all three planes once; the 1e9 m
+    # row fails and is printed as NaN.
     cfg = tmp_path / "link.cfg"
     cfg.write_text(text, encoding="utf-8")
     out = tmp_path / "sweep.csv"

@@ -30,8 +30,10 @@ from brightlink.decoder import (
     decide_symbols,
     decode_frames,
     decode_series,
+    StagedSignal,
     deframe,
     estimate_levels,
+    extract_block_frames,
     extract_signal,
     received_frames_per_symbol,
     synchronize,
@@ -200,6 +202,60 @@ class TestRectifyCache:
         info = decoder_module._rectify_weights.cache_info()
         assert info.misses == 20
         assert info.currsize == 1
+
+
+class TestStagedSignal:
+    """The streaming reducer of one colour plane gives extract_signal's samples
+    bit for bit, however its captures are grouped."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_any_grouping_matches_extract_signal(self, data):
+        height, width = data.draw(st.integers(6, 24)), data.draw(st.integers(6, 24))
+        step = extract_block_frames(height, width)
+        # Blocks smaller than, about as long as and longer than a stage.
+        sizes = data.draw(st.lists(st.integers(1, 8) | st.integers(step - 2, step + 2)
+                                   | st.integers(1, 2 * step + 1), min_size=1, max_size=5))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        shape = (sum(sizes), height, width, 3)
+        frames = (rng.random(shape, dtype=np.float32) if data.draw(st.booleans())
+                  else rng.integers(0, 256, shape, dtype=np.uint8))
+        x, y = data.draw(st.integers(0, width - 1)), data.draw(st.integers(0, height - 1))
+        region = data.draw(st.none() | st.tuples(st.just(x), st.just(y),
+                                                 st.integers(1, width - x),
+                                                 st.integers(1, height - y)))
+        color = data.draw(st.sampled_from(Color))
+        views = data.draw(st.booleans())
+        signal = StagedSignal(TestRectifyCache.A, region, Fraction(30000, 1001))
+        edges = np.cumsum([0, *sizes])
+        for start, stop in zip(edges[:-1], edges[1:]):
+            block = frames[start:stop, :, :, color]
+            signal.add(block if views else block.copy())
+        got = signal.series()
+        expected = extract_signal(frames, homography=TestRectifyCache.A, region=region,
+                                  channel=color, sample_rate=Fraction(30000, 1001))
+        assert got.sample_rate == expected.sample_rate
+        assert got.values.tobytes() == expected.values.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, -0.5, 1.5])
+    def test_values_are_refused_as_validate_frames_refuses_them(self, bad):
+        frames = np.full((2, 4, 4, 3), 0.5, dtype=np.float32)
+        frames[1, 2, 3, 1] = bad
+        with pytest.raises(ValueError) as whole:
+            extract_signal(frames)
+        signal = StagedSignal()
+        signal.add(frames[:1, :, :, 1])
+        with pytest.raises(ValueError) as streamed:
+            signal.add(frames[1:, :, :, 1])
+        assert str(streamed.value) == str(whole.value)
+
+    def test_blocks_of_another_size_or_dtype_are_refused(self):
+        signal = StagedSignal()
+        signal.add(np.zeros((3, 4, 4), dtype=np.uint8))
+        for block in (np.zeros((1, 4, 5), np.uint8), np.zeros((1, 4, 4), np.float32),
+                      np.zeros((1, 4, 4, 3), np.uint8)):
+            with pytest.raises(ValueError, match="one frame size and dtype"):
+                signal.add(block)
 
 
 def test_received_frames_per_symbol():
