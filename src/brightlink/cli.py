@@ -78,8 +78,11 @@ def _carrier_for(config: RunConfig, carrier_path: str | None,
         frames, _ = read_bfrs(carrier_path)
         return frames
     n = frames_needed(payload_bits, config.modulation)
-    return make_carrier(config.carrier_name, config.carrier_width,
-                        config.carrier_height, n)
+    try:
+        return make_carrier(config.carrier_name, config.carrier_width,
+                            config.carrier_height, n)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _check_seed(seed: int) -> int:
@@ -165,6 +168,8 @@ def cmd_decode(args) -> int:
 def cmd_sweep(args) -> int:
     config = _override_seed(load_config(args.config), args.seed)
     distances = _parse_numbers(args.distances, "distances")
+    if len(distances) < 3:
+        raise ConfigError(f"a sweep needs at least 3 distances, got {len(distances)}")
     payload = _load_payload_bits(args.payload_bits, args.payload,
                                  default=DEFAULT_SWEEP_PAYLOAD)
     carrier = _carrier_for(config, None, payload.size)

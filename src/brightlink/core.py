@@ -197,7 +197,8 @@ def validate_frames(frames: np.ndarray) -> np.ndarray:
 def check_pixels(arr: np.ndarray) -> np.ndarray:
     """arr, once its pixels are uint8, or float, finite and within [0, 1]."""
     if np.issubdtype(arr.dtype, np.floating):
-        if not np.all(np.isfinite(arr)) or arr.min() < 0.0 or arr.max() > 1.0:
+        # NaN fails both comparisons and an infinity fails one.
+        if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
             raise ValueError("float pixels must be finite and lie in [0, 1]")
     elif arr.dtype != np.uint8:
         raise ValueError(f"pixels must be uint8 or float in [0, 1], got dtype {arr.dtype}")

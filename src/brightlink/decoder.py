@@ -190,6 +190,8 @@ class StagedSignal:
         """The samples of the whole stream, once every capture has been added."""
         if self.filled:
             self._extract(self.stage[:self.filled])
+        if not self.values:
+            raise ValueError("frame sequence must contain at least one frame")
         return SymbolSeries(np.concatenate(self.values), self.sample_rate)
 
 

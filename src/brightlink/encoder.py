@@ -97,17 +97,17 @@ def encode_stream(payload_bits, carrier: np.ndarray,
     if frames.dtype != np.uint8:
         raise ValueError(f"carrier frames must be uint8, got dtype {frames.dtype}")
     symbols = bits_to_symbols(frame_payload(payload, params), params)
-    needed = symbols.size * params.symbol_duration_frames
-    if frames.shape[0] < needed:
-        raise CarrierTooShortError(needed, frames.shape[0])
+    levels = np.repeat(symbols, params.symbol_duration_frames)
+    if frames.shape[0] < levels.size:
+        raise CarrierTooShortError(levels.size, frames.shape[0])
     # One lookup table per level: scale, round half up, clamp to 255.
     luts = np.minimum(np.floor(level_table(params)[:, None] * np.arange(256.0) + 0.5),
                       255.0).astype(np.uint8)
     out = frames.copy()
-    plane = out[:, :, :, params.channel]
-    d = params.symbol_duration_frames
-    for i, symbol in enumerate(symbols):
-        plane[i * d:(i + 1) * d] = luts[symbol][plane[i * d:(i + 1) * d]]
+    plane = out[:levels.size, :, :, params.channel]
+    # Level 0's gain is 1.0 and its table the identity, so its frames stay as copied.
+    for level in np.unique(levels[levels > 0]):
+        plane[levels == level] = luts[level][plane[levels == level]]
     return out
 
 

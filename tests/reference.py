@@ -1,8 +1,11 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is written the slow, obvious way on purpose and, except
-transmit_reference and distance_sweep_reference, must not call into
-brightlink: these are the oracles the tests compare against.
+encode_stream_reference, transmit_reference and distance_sweep_reference,
+must not call into brightlink: these are the oracles the tests compare against.
+encode_stream_reference is the earlier per-symbol encoder loop, kept to check
+the per-level pass that replaced it; it reuses the package's framing and
+level table, which are checked on their own.
 transmit_reference is the earlier per-capture channel loop, kept to check the
 block walk that replaced it; it reuses the package's resampling map, gain and
 quantizer, which have oracles of their own here. distance_sweep_reference is
@@ -221,6 +224,23 @@ def shown_frame_reference(k: int, display_fps, camera_fps, n_in: int) -> int:
     numerator = (2 * k + 1) * display.numerator * camera.denominator
     denominator = 2 * display.denominator * camera.numerator
     return min(numerator // denominator, n_in - 1)
+
+
+def encode_stream_reference(payload_bits, carrier: np.ndarray, params) -> np.ndarray:
+    """Imprint a framed payload one symbol at a time, as the encoder did before
+    its per-level pass: every symbol's frames go through its level's table."""
+    from brightlink.core import bits_to_symbols, level_table
+    from brightlink.encoder import frame_payload
+
+    symbols = bits_to_symbols(frame_payload(payload_bits, params), params)
+    luts = np.minimum(np.floor(level_table(params)[:, None] * np.arange(256.0) + 0.5),
+                      255.0).astype(np.uint8)
+    out = carrier.copy()
+    plane = out[:, :, :, params.channel]
+    d = params.symbol_duration_frames
+    for i, symbol in enumerate(symbols):
+        plane[i * d:(i + 1) * d] = luts[symbol][plane[i * d:(i + 1) * d]]
+    return out
 
 
 def capture_count_reference(n_in: int, display_fps, camera_fps) -> int:

@@ -44,6 +44,12 @@ def demo_cfg(tmp_path):
     return path
 
 
+def with_key(text, key, value):
+    """Config text with key's line, if any, replaced by key = value."""
+    lines = [line for line in text.splitlines() if not line.startswith(f"{key} ")]
+    return "\n".join([*lines, f"{key} = {value}"]) + "\n"
+
+
 def run_link(tmp_path, cfg, payload=PAYLOAD, seed=None):
     tx = tmp_path / "tx.bfrs"
     rx = tmp_path / "rx.bfrs"
@@ -227,6 +233,35 @@ class TestErrorPaths:
         assert main([command, *args, "--seed", seed]) == EXIT_USAGE
         assert "--seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("carrier.name", "plaid", "unknown carrier 'plaid'"),
+        ("carrier.width", "1", "at least 2x2, got 1x48"),
+        ("carrier.height", "0", "at least 2x2, got 64x0"),
+    ])
+    @pytest.mark.parametrize("command", ["encode", "sweep"])
+    def test_a_carrier_the_config_cannot_build_is_a_usage_error(self, tmp_path, capsys,
+                                                                command, key, value,
+                                                                message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(with_key(DEMO_CFG, key, value), encoding="utf-8")
+        out = tmp_path / "out"
+        args = {"encode": ["--payload-bits", PAYLOAD], "sweep": ["--distances", "1,2,4"]}
+        code = main([command, "--config", str(cfg), *args[command], "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_carrier_file_is_used_whatever_the_carrier_keys_say(self, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(with_key(with_key(DEMO_CFG, "carrier.name", "plaid"),
+                                "carrier.width", "1"), encoding="utf-8")
+        carrier = tmp_path / "carrier.bfrs"
+        write_bfrs(carrier, make_carrier("gray128", 8, 6, 600), 30)
+        tx = tmp_path / "tx.bfrs"
+        assert main(["encode", "--config", str(cfg), "--payload-bits", PAYLOAD,
+                     "--carrier", str(carrier), "--out", str(tx)]) == EXIT_OK
+        assert read_bfrs(tx)[0].shape == (600, 6, 8, 3)
+
     def test_bad_bfrs_file(self, tmp_path, demo_cfg):
         junk = tmp_path / "junk.bfrs"
         junk.write_bytes(b"JUNKJUNKJUNKJUNKJUNKJUNKJUNK")
@@ -301,6 +336,19 @@ carrier.height = 32
         code = main(["sweep", "--config", str(cfg), "--distances", "1,two",
                      "--out", str(tmp_path / "s.csv")])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("distances, count", [("1,2", 2), ("3", 1), ("1,2,", 2),
+                                                  (",", 0)])
+    def test_fewer_than_three_distances_is_a_usage_error(self, tmp_path, capsys,
+                                                         distances, count):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("modulation.m = 2\n")
+        out = tmp_path / "s.csv"
+        code = main(["sweep", "--config", str(cfg), "--distances", distances,
+                     "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert f"a sweep needs at least 3 distances, got {count}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBerCommand:

@@ -137,6 +137,17 @@ def test_symbol_levels_are_evenly_spaced_within_depth():
     assert level_table(ook).tolist() == [1.0, 1.03]
 
 
+def bad_float_frames():
+    """Float frames with infinities, or one bad value after the first element."""
+    for dtype in (np.float16, np.float32, np.float64):
+        for value in (np.inf, -np.inf):
+            yield np.full((4, 6, 3), value, dtype=dtype), "all", value
+        for value in (np.inf, -np.inf, np.nan, 1.5, -0.1):
+            frame = np.full((4, 6, 3), 0.5, dtype=dtype)
+            frame[2, 4, 1] = value
+            yield frame, "one", value
+
+
 class TestFrameValidation:
     def test_accepts_uint8_and_unit_floats(self):
         u8 = np.zeros((4, 6, 3), dtype=np.uint8)
@@ -153,6 +164,8 @@ class TestFrameValidation:
         np.full((4, 6, 3), 1.5),
         np.full((4, 6, 3), -0.1),
         np.full((4, 6, 3), float("nan")),
+        *(pytest.param(frame, id=f"{frame.dtype}-{where}-{value}")
+          for frame, where, value in bad_float_frames()),
     ])
     def test_rejects_bad_frames(self, bad):
         with pytest.raises(ValueError):

@@ -214,7 +214,8 @@ class TestStagedSignal:
         height, width = data.draw(st.integers(6, 24)), data.draw(st.integers(6, 24))
         step = extract_block_frames(height, width)
         # Blocks smaller than, about as long as and longer than a stage.
-        sizes = data.draw(st.lists(st.integers(1, 8) | st.integers(step - 2, step + 2)
+        # Zero-length blocks among them, which change nothing.
+        sizes = data.draw(st.lists(st.integers(0, 8) | st.integers(step - 2, step + 2)
                                    | st.integers(1, 2 * step + 1), min_size=1, max_size=5))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         shape = (sum(sizes), height, width, 3)
@@ -231,23 +232,68 @@ class TestStagedSignal:
         for start, stop in zip(edges[:-1], edges[1:]):
             block = frames[start:stop, :, :, color]
             signal.add(block if views else block.copy())
-        got = signal.series()
-        expected = extract_signal(frames, homography=TestRectifyCache.A, region=region,
+
+        def whole():
+            return extract_signal(frames, homography=TestRectifyCache.A, region=region,
                                   channel=color, sample_rate=Fraction(30000, 1001))
+        if not len(frames):
+            with pytest.raises(ValueError) as refused:
+                whole()
+            with pytest.raises(ValueError) as streamed:
+                signal.series()
+            assert str(streamed.value) == str(refused.value)
+            return
+        got, expected = signal.series(), whole()
         assert got.sample_rate == expected.sample_rate
         assert got.values.tobytes() == expected.values.tobytes()
 
-    @pytest.mark.parametrize("bad", [np.nan, -0.5, 1.5])
+    @pytest.mark.parametrize("bad", [np.nan, -0.5, 1.5, np.inf, -np.inf])
     def test_values_are_refused_as_validate_frames_refuses_them(self, bad):
-        frames = np.full((2, 4, 4, 3), 0.5, dtype=np.float32)
-        frames[1, 2, 3, 1] = bad
+        for dtype in (np.float16, np.float32, np.float64):
+            frames = np.full((2, 4, 4, 3), 0.5, dtype=dtype)
+            frames[1, 2, 3, 1] = bad
+            with pytest.raises(ValueError) as whole:
+                extract_signal(frames)
+            signal = StagedSignal()
+            signal.add(frames[:1, :, :, 1])
+            with pytest.raises(ValueError) as streamed:
+                signal.add(frames[1:, :, :, 1])
+            assert str(streamed.value) == str(whole.value)
+            # In one block, the bad value comes after its first element.
+            with pytest.raises(ValueError) as at_once:
+                StagedSignal().add(frames[:, :, :, 1])
+            assert str(at_once.value) == str(whole.value)
+
+    def test_a_stream_of_no_captures_is_refused_as_extract_signal_refuses_it(self):
         with pytest.raises(ValueError) as whole:
-            extract_signal(frames)
-        signal = StagedSignal()
-        signal.add(frames[:1, :, :, 1])
-        with pytest.raises(ValueError) as streamed:
-            signal.add(frames[1:, :, :, 1])
-        assert str(streamed.value) == str(whole.value)
+            extract_signal(np.zeros((0, 4, 4, 3), dtype=np.float32))
+        assert str(whole.value) == "frame sequence must contain at least one frame"
+        for blocks in ([], [np.zeros((0, 4, 4), np.float32)],
+                       [np.zeros((0, 4, 4), np.uint8)] * 2):
+            signal = StagedSignal()
+            for block in blocks:
+                signal.add(block)
+            with pytest.raises(ValueError) as streamed:
+                signal.series()
+            assert str(streamed.value) == str(whole.value)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float16, np.float32, np.float64])
+    def test_a_zero_length_block_changes_nothing(self, dtype):
+        rng = np.random.default_rng(5)
+        planes = rng.integers(0, 256, (7, 5, 6), dtype=np.uint8)
+        if dtype != np.uint8:
+            planes = (planes / 255).astype(dtype)
+        empty = planes[:0]
+        plain, padded = StagedSignal(), StagedSignal()
+        plain.add(planes)
+        for block in (empty, planes[:3], empty, empty.copy(), planes[3:], empty):
+            padded.add(block)
+        assert padded.series().values.tobytes() == plain.series().values.tobytes()
+        other = np.float32 if dtype == np.uint8 else np.uint8
+        for block in (np.zeros((0, 5, 7), dtype), np.zeros((0, 5, 6), other),
+                      np.zeros((0, 5, 6, 1), dtype)):
+            with pytest.raises(ValueError, match="one frame size and dtype"):
+                padded.add(block)
 
     def test_blocks_of_another_size_or_dtype_are_refused(self):
         signal = StagedSignal()

@@ -21,7 +21,7 @@ from brightlink.encoder import (
     preamble_bits,
     preamble_symbols,
 )
-from reference import crc32_reference, pack_bits_reference
+from reference import crc32_reference, encode_stream_reference, pack_bits_reference
 
 OOK = ModulationParams(m=2)
 QASK = ModulationParams(m=4)
@@ -191,6 +191,29 @@ def test_encode_never_exceeds_depth_bound(payload, m_exp):
     assert not diff[:, :, :, 1:].any()
     assert diff[:, :, :, 0].min() >= 0
     assert diff[:, :, :, 0].max() <= 8
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_encoding_matches_the_per_symbol_loop(data):
+    visible = data.draw(st.booleans())
+    params = ModulationParams(
+        m=data.draw(st.sampled_from([2, 4, 8, 16])),
+        symbol_duration_frames=data.draw(st.integers(1, 6)),
+        depth=data.draw(st.floats(1e-3, 0.5 if visible else 0.1)),
+        channel=data.draw(st.sampled_from(Color)),
+        allow_visible_depth=visible)
+    payload = np.array(data.draw(st.lists(st.integers(0, 1), max_size=64)), dtype=np.uint8)
+    n_frames = frames_needed(payload.size, params) + data.draw(st.integers(0, 7))
+    shape = (n_frames, data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8)), 3)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    carrier = rng.integers(0, 256, shape, dtype=np.uint8)
+    before = carrier.copy()
+    frames = encode_stream(payload, carrier, params)
+    assert np.array_equal(carrier, before)
+    expected = encode_stream_reference(payload, carrier, params)
+    assert frames.dtype == expected.dtype and frames.shape == expected.shape
+    assert frames.tobytes() == expected.tobytes()
 
 
 class TestMakeCarrier:
