@@ -182,18 +182,23 @@ def resampling_map(pull: np.ndarray, height: int,
 
 
 @functools.lru_cache(maxsize=1)
-def _warp_operator(affine: bytes, height: int, width: int) -> sparse.csr_array:
+def _warp_operator(affine: bytes, height: int, width: int,
+                   by_column: bool) -> sparse.csr_array:
     """The read-only CSR warp of height x width frames through a homography.
 
     affine holds the bytes of a checked float64 3x3 matrix, so a caller that
-    changes its matrix in place gets a new warp. A stream of calls with one
-    homography and frame size builds the warp once; only the last is kept,
-    alive until a call with another homography or size, 72 bytes per pixel.
+    changes its matrix in place gets a new warp. Its rows are the output
+    pixels row by row; its columns number the source pixels column by column
+    when by_column is set, as frames stored that way lie in memory. A stream
+    of calls with one homography, frame size and layout builds the warp once;
+    only the last is kept, alive until another call, 72 bytes per pixel.
     """
     pull = np.linalg.inv(np.frombuffer(affine).reshape(3, 3))
     # Each row keeps its 4 corners in order, zero weights included, so a pixel
     # sums its products in corner order and weights (1, 0, 0, 0) copy it exactly.
     index, weight = resampling_map(pull, height, width)
+    if by_column:  # pixel y * width + x sits at x * height + y; corners at 0 stay 0
+        index = index % width * height + index // width
     n_pix = height * width
     warp = sparse.csr_array((weight.T.ravel(), index.T.ravel(),
                              np.arange(0, 4 * n_pix + 1, 4)), shape=(n_pix, n_pix))
@@ -205,10 +210,11 @@ def _warp_operator(affine: bytes, height: int, width: int) -> sparse.csr_array:
 class _Plan(NamedTuple):
     """What every block of one clip's walk shares, however many gains it sends."""
 
-    source: np.ndarray      # the checked display clip
+    source: np.ndarray      # the checked display clip, (n, w, h, 3) if stored by column
     shown: np.ndarray       # the display frame each capture shows
     bounds: list[int]       # block edges: block i holds captures bounds[i]..bounds[i+1]
-    warp: sparse.csr_array  # the kept warp of the clip's homography and frame size
+    warp: sparse.csr_array  # the kept warp of the clip's homography, frame size and layout
+    size: tuple[int, int]   # the frames' (height, width)
 
 
 def _plan(frames: np.ndarray, display_fps: Fraction, params: ChannelParams,
@@ -233,8 +239,12 @@ def _plan(frames: np.ndarray, display_fps: Fraction, params: ChannelParams,
     while bounds[-1] < n_out:
         last_shown = shown[min(bounds[-1] + step, n_out) - 1]
         bounds.append(int(np.searchsorted(shown, last_shown, side="right")))
-    return _Plan(source, shown, bounds,
-                 _warp_operator(params.affine.tobytes(), height, width))
+    # A clip stored column by column is read in its own memory order, so no
+    # frame is transposed: the warp numbers its source pixels the same way.
+    by_column = abs(source.strides[2]) > abs(source.strides[1])
+    return _Plan(source.transpose(0, 2, 1, 3) if by_column else source, shown, bounds,
+                 _warp_operator(params.affine.tobytes(), height, width, by_column),
+                 (height, width))
 
 
 def _walk(plan: _Plan, blocks: Iterator[tuple[int, int]], gains: list[float],
@@ -249,7 +259,6 @@ def _walk(plan: _Plan, blocks: Iterator[tuple[int, int]], gains: list[float],
     gains; a gain only scales the warped frames before the draws are added.
     One gain's floats are held at a time, and freed before the next block.
     """
-    height, width = plan.source.shape[1:3]
     planes = (slice(None),) if plane is None else (plane,)
     # Capture k reads the stream of key (seed, k) from its start, as a fresh
     # Philox would; a uint64 key keeps big seeds exact.
@@ -258,18 +267,20 @@ def _walk(plan: _Plan, blocks: Iterator[tuple[int, int]], gains: list[float],
     key = fresh["state"]["key"]
     for start, end in blocks:
         shown, capture_of = np.unique(plan.shown[start:end], return_inverse=True)
-        # Columns run over shown frames, then planes: (h w, shown [, 3]).
+        # Rows run over pixels as the source stores them, columns over shown
+        # frames, then planes: (h w, shown [, 3]).
         pixels = np.moveaxis(plan.source[(shown, ...) + planes], 0, 2)
-        warped = plan.warp @ to_unit(pixels.reshape(height * width, -1))
+        warped = plan.warp @ to_unit(pixels.reshape(math.prod(plan.size), -1))
         noise = []
         if params.noise_sigma > 0.0:
             for k in range(start, end):
                 key[1] = k
                 philox.state = fresh
-                draw = rng.normal(0.0, params.noise_sigma, size=(height, width, 3))
+                draw = rng.normal(0.0, params.noise_sigma, size=plan.size + (3,))
                 noise.append(draw if plane is None else draw[..., plane])
         for gain in gains:
-            observed = np.moveaxis((warped * gain).reshape(pixels.shape), 2, 0)[capture_of]
+            observed = np.moveaxis((warped * gain).reshape(plan.size + pixels.shape[2:]),
+                                   2, 0)[capture_of]
             for frame, draw in zip(observed, noise):
                 frame += draw
             yield start, quantize_unit(observed, params.quantizer_bits)
@@ -296,7 +307,7 @@ def transmit(frames: np.ndarray, display_fps: Fraction, params: ChannelParams,
     """
     gain = normalized_gain(params.geometry)
     plan = _plan(frames, display_fps, params, symbol_rate)
-    height, width = plan.source.shape[1:3]
+    height, width = plan.size
     captured = np.empty((len(plan.shown), height, width, 3),
                         dtype=np.uint8 if params.quantizer_bits == 8 else np.float32)
     blocks = iter(zip(plan.bounds[:-1], plan.bounds[1:]))

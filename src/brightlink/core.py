@@ -144,7 +144,7 @@ def as_bits(bits) -> np.ndarray:
     arr = np.asarray(bits)
     if arr.ndim != 1:
         raise ValueError(f"bits must be one-dimensional, got shape {arr.shape}")
-    if arr.size and not np.isin(arr, (0, 1)).all():
+    if arr.size and not ((arr == 0) | (arr == 1)).all():
         raise ValueError("bits must contain only 0 and 1")
     return arr.astype(np.uint8)
 
@@ -197,9 +197,15 @@ def validate_frames(frames: np.ndarray) -> np.ndarray:
 def check_pixels(arr: np.ndarray) -> np.ndarray:
     """arr, once its pixels are uint8, or float, finite and within [0, 1]."""
     if np.issubdtype(arr.dtype, np.floating):
-        # NaN fails both comparisons and an infinity fails one.
-        if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
-            raise ValueError("float pixels must be finite and lie in [0, 1]")
+        # Non-negative floats order as their bits, so one pass over the bits
+        # accepts pixels in [0, 1] (longer floats have no such unsigned view).
+        # The rest, -0.0 too, get two passes: NaN fails both comparisons and
+        # an infinity fails one.
+        bits = arr.dtype.str.replace("f", "u")  # same size and byte order
+        if arr.size and not (arr.itemsize <= 8 and arr.view(bits).max()
+                             <= np.array(1.0, arr.dtype).view(bits)):
+            if not (arr.min() >= 0.0 and arr.max() <= 1.0):
+                raise ValueError("float pixels must be finite and lie in [0, 1]")
     elif arr.dtype != np.uint8:
         raise ValueError(f"pixels must be uint8 or float in [0, 1], got dtype {arr.dtype}")
     return arr

@@ -164,6 +164,8 @@ class StagedSignal:
                 self.stage.shape[1:], self.stage.dtype):
             raise ValueError(f"planes must come in (n, h, w) blocks of one frame size "
                              f"and dtype, got {arr.shape} {arr.dtype}")
+        if 0 in arr.shape[1:]:
+            raise ValueError(f"frames must be at least 1x1, got {arr.shape}")
         check_pixels(arr)
         if self.stage is None:
             self.stage = np.empty((extract_block_frames(*arr.shape[1:]), *arr.shape[1:]),

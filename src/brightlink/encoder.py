@@ -103,7 +103,7 @@ def encode_stream(payload_bits, carrier: np.ndarray,
     # One lookup table per level: scale, round half up, clamp to 255.
     luts = np.minimum(np.floor(level_table(params)[:, None] * np.arange(256.0) + 0.5),
                       255.0).astype(np.uint8)
-    out = frames.copy()
+    out = frames.copy(order="K")  # in the carrier's own memory order
     plane = out[:levels.size, :, :, params.channel]
     # Level 0's gain is 1.0 and its table the identity, so its frames stay as copied.
     for level in np.unique(levels[levels > 0]):

@@ -655,7 +655,7 @@ class TestWarpCache:
 
     def test_the_kept_warp_is_read_only(self):
         transmit(self.CLIP[:1], 30.0, ChannelParams(affine=self.A))
-        warp = channel_module._warp_operator(self.A.tobytes(), 18, 24)
+        warp = channel_module._warp_operator(self.A.tobytes(), 18, 24, False)
         assert channel_module._warp_operator.cache_info().hits == 1
         for part in (warp.data, warp.indices, warp.indptr):
             assert not part.flags.writeable

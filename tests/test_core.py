@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brightlink.core import (
@@ -10,6 +10,7 @@ from brightlink.core import (
     SymbolSeries,
     as_bits,
     bits_to_symbols,
+    check_pixels,
     level_table,
     quantize_unit,
     symbols_to_bits,
@@ -74,6 +75,21 @@ def test_as_bits_accepts_strings_lists_arrays():
 def test_as_bits_rejects_non_bits(bad):
     with pytest.raises(ValueError):
         as_bits(bad)
+
+
+@pytest.mark.parametrize("bits", [
+    [True, False], np.array([True, False]), [0, 1, 1], np.array([1, 0], np.int8),
+    np.array([0, 1], np.uint64), np.array([-1, 1], np.int16), [0.0, 1.0],
+    np.array([0.0, -0.0, 1.0], np.float32), [0.5], [1.0, np.nan], [np.inf, 0.0],
+    [2, 1], np.array([1, 0, 2], np.uint8), np.array(["0", "1"]),
+])
+def test_as_bits_gives_the_verdict_of_a_membership_test(bits):
+    arr = np.asarray(bits)
+    if np.isin(arr, (0, 1)).all():
+        assert np.array_equal(as_bits(bits), arr.astype(np.uint8))
+    else:
+        with pytest.raises(ValueError, match="bits must contain only 0 and 1"):
+            as_bits(bits)
 
 
 def test_bits_to_symbols_groups_msb_first():
@@ -184,6 +200,45 @@ def test_to_unit_scales_uint8():
     assert np.allclose(unit, [[[0.0, 128 / 255, 1.0]]])
     passthrough = np.full((1, 1, 3), 0.5)
     assert to_unit(passthrough).dtype == np.float64
+
+
+SPECIAL_FLOATS = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0, 0.5, 2.0]
+
+
+def special_floats(dtype):
+    info = np.finfo(dtype)
+    one = np.array(1.0, dtype)
+    return [*SPECIAL_FLOATS, info.smallest_subnormal, -info.smallest_subnormal,
+            info.tiny, info.max, -info.max, np.nextafter(one, dtype(2)),
+            np.nextafter(one, dtype(0)), -np.nextafter(one, dtype(0))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), dtype=st.sampled_from([np.float16, np.float32, np.float64]))
+def test_float_pixels_get_the_verdict_of_two_comparisons(data, dtype):
+    values = data.draw(st.lists(st.sampled_from(special_floats(dtype))
+                                | st.floats(0.0, 1.0, width=np.finfo(dtype).bits),
+                                min_size=1, max_size=12))
+    arr = np.array(values, dtype)
+    if data.draw(st.booleans()):  # the other byte order reads the same values
+        arr = arr.astype(arr.dtype.newbyteorder())
+    two_passes = bool(arr.min() >= 0.0 and arr.max() <= 1.0)
+    if two_passes:
+        assert check_pixels(arr) is arr
+    else:
+        with pytest.raises(ValueError, match=r"must be finite and lie in \[0, 1\]"):
+            check_pixels(arr)
+
+
+@pytest.mark.parametrize("value, accepted", [(0.5, True), (-0.0, True), (1.0, True),
+                                             (1.5, False), (np.nan, False)])
+def test_long_double_pixels_take_the_two_comparisons(value, accepted):
+    arr = np.array([[0.25, value]], np.longdouble)
+    if accepted:
+        assert check_pixels(arr) is arr
+    else:
+        with pytest.raises(ValueError, match="must be finite"):
+            check_pixels(arr)
 
 
 class TestQuantizeUnit:

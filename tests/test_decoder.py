@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import math
 import tracemalloc
 from fractions import Fraction
@@ -294,6 +295,17 @@ class TestStagedSignal:
                       np.zeros((0, 5, 6, 1), dtype)):
             with pytest.raises(ValueError, match="one frame size and dtype"):
                 padded.add(block)
+
+    @pytest.mark.parametrize("shape", [(2, 0, 4), (2, 4, 0), (1, 0, 0)])
+    def test_frames_of_no_pixels_are_refused_as_extract_signal_refuses_them(self, shape):
+        with pytest.raises(ValueError, match="frames must be at least 1x1"):
+            extract_signal(np.zeros((*shape, 3), np.uint8))
+        # A block of no captures is refused too, since its frames have no pixels.
+        for block in (shape, (0, *shape[1:])):
+            for dtype in (np.uint8, np.float32):
+                with pytest.raises(ValueError, match=r"frames must be at least 1x1, got "
+                                                     + re.escape(str(block))):
+                    StagedSignal().add(np.zeros(block, dtype))
 
     def test_blocks_of_another_size_or_dtype_are_refused(self):
         signal = StagedSignal()
