@@ -34,6 +34,9 @@ class BerModel:
     sigma: float
 
     def __post_init__(self) -> None:
+        for name in ("mu0", "mu1", "sigma"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.mu1 > self.mu0:
             raise ValueError(f"mu1 ({self.mu1}) must exceed mu0 ({self.mu0})")
         if self.sigma <= 0.0:

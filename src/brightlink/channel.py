@@ -15,8 +15,8 @@ from typing import NamedTuple
 import numpy as np
 from scipy import sparse
 
-from .core import (Color, as_rate, as_seed, floor_progression, quantize_unit, to_unit,
-                   validate_frames)
+from .core import (Color, as_int, as_rate, as_seed, floor_progression, quantize_unit,
+                   to_unit, validate_frames)
 
 # CPUs this process may run on: the most threads one transmit call uses.
 _CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
@@ -116,7 +116,9 @@ class ChannelParams:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         object.__setattr__(self, "affine", check_homography(self.affine, "affine"))
         object.__setattr__(self, "camera_fps", as_rate(self.camera_fps, "camera_fps"))
-        if not isinstance(self.quantizer_bits, int) or not 1 <= self.quantizer_bits <= 30:
+        object.__setattr__(self, "quantizer_bits",
+                           as_int(self.quantizer_bits, "quantizer_bits"))
+        if not 1 <= self.quantizer_bits <= 30:
             raise ValueError(f"quantizer_bits must be an int in [1, 30], "
                              f"got {self.quantizer_bits}")
         object.__setattr__(self, "rng_seed", as_seed(self.rng_seed, "rng_seed"))

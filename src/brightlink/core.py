@@ -23,6 +23,13 @@ def as_rate(value, name: str) -> Fraction:
     raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
+def as_int(value, name: str) -> int:
+    """value as a Python int; only Python and numpy integers, not bools, are integers."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def as_seed(seed, name: str) -> int:
     """A noise seed as a Python int; only integers in [0, 2**64) are seeds."""
     if isinstance(seed, numbers.Integral) and 0 <= seed < 2**64:
@@ -83,6 +90,8 @@ class ModulationParams:
     allow_visible_depth: bool = False
 
     def __post_init__(self) -> None:
+        for name in ("m", "symbol_duration_frames"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if self.m < 2 or (self.m & (self.m - 1)) != 0:
             raise ValueError(f"m must be a power of two >= 2, got {self.m}")
         if self.symbol_duration_frames < 1:

@@ -14,6 +14,7 @@ from .core import (
     Color,
     ModulationParams,
     SymbolSeries,
+    as_int,
     as_rate,
     check_pixels,
     floor_progression,
@@ -122,40 +123,45 @@ def extract_signal(frames: np.ndarray, homography: np.ndarray | None = None,
     and kept after the call (8 bytes per sensor pixel) until a call with
     another homography, frame size or region builds the next.
     """
-    arr = validate_frames(frames)
-    return SymbolSeries(_plane_samples(arr[..., int(channel)], homography, region),
-                        sample_rate)
+    planes = validate_frames(frames)[..., int(channel)]
+    weights = _bound_weights(planes.shape[1:], homography, region)
+    step = extract_block_frames(*planes.shape[1:])
+    return SymbolSeries(np.concatenate([_block_samples(planes[k:k + step], weights)
+                                        for k in range(0, len(planes), step)]), sample_rate)
 
 
-def _plane_samples(planes: np.ndarray, homography, region) -> np.ndarray:
-    """extract_signal's samples of checked (n, h, w) planes, in its blocks."""
-    n, height, width = planes.shape
-    x, y, w, h = (0, 0, width, height) if region is None else (int(v) for v in region)
+def _bound_weights(size: tuple[int, int], homography, region) -> np.ndarray:
+    """The kept weight image for (h, w) frames, once region and homography pass."""
+    height, width = size
+    x, y, w, h = ((0, 0, width, height) if region is None
+                  else (as_int(v, "region value") for v in region))
     if w < 1 or h < 1:
         raise ValueError(f"region must have positive size, got {region}")
     if x < 0 or y < 0 or y + h > height or x + w > width:
         raise ValueError(f"region {region} falls outside frames of shape "
                          f"{(height, width)}")
     pull = identity_homography() if homography is None else check_homography(homography)
-    weights = _rectify_weights(pull.tobytes(), height, width, (x, y, w, h))
-    step = extract_block_frames(height, width)
-    return np.concatenate([to_unit(planes[k:k + step]).reshape(-1, weights.size) @ weights
-                           for k in range(0, n, step)])
+    return _rectify_weights(pull.tobytes(), height, width, (x, y, w, h))
+
+
+def _block_samples(planes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    return to_unit(planes).reshape(-1, weights.size) @ weights
 
 
 class StagedSignal:
     """One colour plane of a capture stream reduced to samples as it arrives.
 
     add takes the plane's captures in order, in (n, h, w) blocks of any size,
-    and refuses values as validate_frames does. They are reduced in
-    extract_block_frames blocks from capture 0, whole ones straight from the
-    caller's array and the rest through a stage of one block, so series() is
-    bit for bit extract_signal on the whole clip with the same arguments.
+    and refuses values as validate_frames does. The first fixes the frame size
+    and dtype and binds the weight image (a bad region or homography fails
+    there). Each block is copied into a stage of extract_block_frames captures,
+    reduced whenever it fills, so series() is bit for bit extract_signal on the
+    whole clip with the same arguments.
     """
 
     def __init__(self, homography=None, region=None, sample_rate=Fraction(1)):
         self.homography, self.region, self.sample_rate = homography, region, sample_rate
-        self.stage, self.filled, self.values = None, 0, []  # stage: one block's captures
+        self.stage, self.weights, self.filled, self.values = None, None, 0, []
 
     def add(self, planes: np.ndarray) -> None:
         """Reduce the next captures: uint8, or float within [0, 1]."""
@@ -168,30 +174,24 @@ class StagedSignal:
             raise ValueError(f"frames must be at least 1x1, got {arr.shape}")
         check_pixels(arr)
         if self.stage is None:
+            self.weights = _bound_weights(arr.shape[1:], self.homography, self.region)
             self.stage = np.empty((extract_block_frames(*arr.shape[1:]), *arr.shape[1:]),
                                   arr.dtype)
-        step = len(self.stage)
-        if self.filled:
-            take = min(step - self.filled, len(arr))
+        while len(arr):
+            take = min(len(self.stage) - self.filled, len(arr))
             self.stage[self.filled:self.filled + take] = arr[:take]
             self.filled, arr = self.filled + take, arr[take:]
-            if self.filled < step:
-                return
-            self._extract(self.stage)
-        whole = len(arr) - len(arr) % step
-        if whole:
-            self._extract(arr[:whole])
-        self.filled = len(arr) - whole
-        self.stage[:self.filled] = arr[whole:]
+            if self.filled == len(self.stage):
+                self._reduce_stage()
 
-    def _extract(self, planes: np.ndarray) -> None:
-        self.values.append(_plane_samples(planes, self.homography, self.region))
+    def _reduce_stage(self) -> None:
+        self.values.append(_block_samples(self.stage[:self.filled], self.weights))
         self.filled = 0
 
     def series(self) -> SymbolSeries:
         """The samples of the whole stream, once every capture has been added."""
         if self.filled:
-            self._extract(self.stage[:self.filled])
+            self._reduce_stage()
         if not self.values:
             raise ValueError("frame sequence must contain at least one frame")
         return SymbolSeries(np.concatenate(self.values), self.sample_rate)

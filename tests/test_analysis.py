@@ -57,6 +57,13 @@ class TestBerModel:
         with pytest.raises(ValueError, match="sigma"):
             BerModel(mu0=0.0, mu1=1.0, sigma=0.0)
 
+    @pytest.mark.parametrize("field", ["mu0", "mu1", "sigma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_values_that_are_not_finite_are_refused(self, field, value):
+        fields = {**dict(mu0=0.0, mu1=1.0, sigma=0.25), field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            BerModel(**fields)
+
     def test_from_levels(self):
         model = BerModel.from_levels(0.1, 0.3, 0.05)
         assert model == BerModel(mu0=0.1, mu1=0.3, sigma=0.05)
@@ -339,6 +346,18 @@ class TestSweepMatchesPerDistanceLoop:
             SWEEP_DISTANCES, payload, carrier, modulation, channel))
         errors = {row.error for row in result.rows if row.distance_m != -1.0}
         assert len(errors) == 1 and "below twice the symbol rate" in errors.pop()
+
+
+@pytest.mark.parametrize("region", [(0, 0, 33, 24), (-1, 0, 8, 8), (0, 0, 8, 0),
+                                    (1.5, 0, 8, 8)])
+def test_a_bad_region_fails_every_row(region):
+    # Every distance's receiver binds its weight image at its first block.
+    payload, carrier, modulation, channel, _ = sweep_case(32, 24, 30.0, 2, 8, 0.002)
+    args = (payload, carrier, modulation, channel, region)
+    result = distance_sweep(SWEEP_DISTANCES, *args)
+    assert_sweeps_equal(result, distance_sweep_reference(SWEEP_DISTANCES, *args))
+    errors = {row.error for row in result.rows if row.distance_m != -1.0}
+    assert len(errors) == 1 and "region" in errors.pop()
 
 
 class TestSweepWork:

@@ -116,6 +116,20 @@ class TestChannelParams:
         with pytest.raises(ValueError, match="rng_seed must be an integer"):
             ChannelParams(rng_seed=seed)
 
+    @pytest.mark.parametrize("bits", [np.int64(16), np.uint8(16), np.int16(16)])
+    def test_numpy_integer_quantizer_bits_give_the_same_capture(self, bits):
+        params = ChannelParams(noise_sigma=0.05, quantizer_bits=bits)
+        assert params.quantizer_bits == 16 and type(params.quantizer_bits) is int
+        frames = make_carrier("gradient", 4, 4, 3)
+        expected = transmit(frames, 30, ChannelParams(noise_sigma=0.05, quantizer_bits=16))
+        assert transmit(frames, 30, params).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("bits", [8.0, np.float64(8.0), 8.5, "8", True, np.bool_(True),
+                                      None])
+    def test_rejects_quantizer_bits_that_are_not_integers(self, bits):
+        with pytest.raises(ValueError, match="^quantizer_bits must be an integer, got "):
+            ChannelParams(quantizer_bits=bits)
+
     def test_numpy_integer_seed_keys_the_same_noise(self):
         frames = make_carrier("gradient", 4, 4, 3)
         big = ChannelParams(noise_sigma=0.05, rng_seed=np.uint64(2**64 - 1))

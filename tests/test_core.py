@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,20 @@ class TestModulationParams:
             ModulationParams(depth=MAX_SAFE_DEPTH + 0.01)
         params = ModulationParams(depth=0.2, allow_visible_depth=True)
         assert params.depth == 0.2
+
+    @pytest.mark.parametrize("field", ["m", "symbol_duration_frames"])
+    @pytest.mark.parametrize("value", [np.int64(4), np.uint8(4), np.int32(4)])
+    def test_integer_fields_take_numpy_integers(self, field, value):
+        params = ModulationParams(**{field: value})
+        assert getattr(params, field) == 4 and type(getattr(params, field)) is int
+        assert params == ModulationParams(**{field: 4})
+
+    @pytest.mark.parametrize("field", ["m", "symbol_duration_frames"])
+    @pytest.mark.parametrize("value", [2.5, 4.0, np.float64(4.0), "4", True, False,
+                                       np.bool_(True), None, Fraction(4)])
+    def test_integer_fields_refuse_everything_else(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            ModulationParams(**{field: value})
 
     @pytest.mark.parametrize("kwargs", [
         dict(depth=0.0),

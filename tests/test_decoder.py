@@ -98,6 +98,20 @@ class TestExtractSignal:
         with pytest.raises(ValueError, match="region"):
             extract_signal(frames, region=(0, 0, 0, 2))
 
+    @pytest.mark.parametrize("region", [(0.9, 0, 3.7, 3), (0, 0, 3.0, 3),
+                                        (np.float64(0), 0, 3, 3), (0, "0", 3, 3),
+                                        (True, 0, 3, 3), (0, 0, 3, None)])
+    def test_region_values_must_be_integers(self, region):
+        frames = np.random.default_rng(3).integers(0, 256, (2, 4, 4, 3), dtype=np.uint8)
+        with pytest.raises(ValueError, match="^region value must be an integer, got "):
+            extract_signal(frames, region=region)
+
+    def test_numpy_integer_regions_crop_as_python_ones(self):
+        frames = np.random.default_rng(3).integers(0, 256, (2, 4, 5, 3), dtype=np.uint8)
+        expected = extract_signal(frames, region=(1, 0, 3, 2)).values
+        for region in ((np.int64(1), np.uint8(0), np.int32(3), 2), np.array([1, 0, 3, 2])):
+            assert extract_signal(frames, region=region).values.tobytes() == expected.tobytes()
+
     def test_channel_selection(self):
         frames = np.zeros((1, 2, 2, 3), dtype=np.uint8)
         frames[0, :, :, 2] = 255
@@ -306,6 +320,53 @@ class TestStagedSignal:
                 with pytest.raises(ValueError, match=r"frames must be at least 1x1, got "
                                                      + re.escape(str(block))):
                     StagedSignal().add(np.zeros(block, dtype))
+
+    def test_a_stream_binds_its_weights_once(self, monkeypatch):
+        checks = []
+        check_homography = decoder_module.check_homography
+
+        def counting_check(*args):
+            checks.append(args)
+            return check_homography(*args)
+
+        monkeypatch.setattr(decoder_module, "check_homography", counting_check)
+        # 12 blocks over three full stages of 64 captures and a last one of 7.
+        sizes = [1, 0, 50, 64, 63, 2, 9, 3, 5, 1, 0, 1]
+        frames = np.random.default_rng(6).integers(0, 256, (sum(sizes), 64, 64, 3),
+                                                   dtype=np.uint8)
+        assert extract_block_frames(64, 64) == 64 and len(frames) == 3 * 64 + 7
+        signal = StagedSignal(TestRectifyCache.A, TestRectifyCache.REGION)
+        edges = np.cumsum([0, *sizes])
+        for start, stop in zip(edges[:-1], edges[1:]):
+            signal.add(frames[start:stop, :, :, 0])
+        assert len(signal.values) == 3 and signal.filled == 7
+        got = signal.series()
+        info = decoder_module._rectify_weights.cache_info()
+        assert (len(checks), info.hits + info.misses) == (1, 1)
+        expected = extract_signal(frames, homography=TestRectifyCache.A,
+                                  region=TestRectifyCache.REGION)
+        assert got.values.tobytes() == expected.values.tobytes()
+
+    @pytest.mark.parametrize("homography, region", [
+        (np.zeros((3, 3)), None),
+        (np.diag([1.0, 1.0, np.nan]), None),
+        (np.eye(4), None),
+        (None, (2, 2, 4, 4)),
+        (None, (0, 0, 0, 2)),
+        (None, (0.9, 0, 3.7, 3)),
+        (np.zeros((3, 3)), (-1, 0, 2, 2)),
+    ], ids=["singular", "not_finite", "not_3x3", "outside", "empty", "not_integers",
+            "both"])
+    def test_a_bad_homography_or_region_fails_at_the_first_block(self, homography,
+                                                                  region):
+        frames = np.random.default_rng(4).integers(0, 256, (3, 4, 4, 3), dtype=np.uint8)
+        with pytest.raises(ValueError) as whole:
+            extract_signal(frames, homography=homography, region=region)
+        signal = StagedSignal(homography, region)
+        with pytest.raises(ValueError) as streamed:
+            signal.add(frames[:2, :, :, 0])
+        assert str(streamed.value) == str(whole.value)
+        assert (signal.stage, signal.filled, signal.values) == (None, 0, [])
 
     def test_blocks_of_another_size_or_dtype_are_refused(self):
         signal = StagedSignal()
