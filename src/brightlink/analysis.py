@@ -10,7 +10,7 @@ import numpy as np
 from scipy.special import erfc
 
 from .channel import ChannelParams, normalized_gain, transmit_gains
-from .core import ModulationParams, as_bits, as_seed
+from .core import ModulationParams, as_bits, as_int, as_seed
 from .decoder import StagedSignal, central_windows, decode_series
 from .encoder import encode_stream
 
@@ -65,6 +65,7 @@ def monte_carlo_ber(model: BerModel, n_symbols: int, seed: int = 0) -> tuple[flo
     measured rate. Chunks are keyed (seed, chunk index), so results do not
     depend on chunking internals or history.
     """
+    n_symbols = as_int(n_symbols, "n_symbols")
     if n_symbols < MC_MIN_SYMBOLS:
         raise ValueError(f"n_symbols must be at least {MC_MIN_SYMBOLS} for a "
                          f"meaningful estimate, got {n_symbols}")

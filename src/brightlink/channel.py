@@ -193,20 +193,48 @@ def _warp_operator(affine: bytes, height: int, width: int,
     pixels row by row; its columns number the source pixels column by column
     when by_column is set, as frames stored that way lie in memory. A stream
     of calls with one homography, frame size and layout builds the warp once;
-    only the last is kept, alive until another call, 72 bytes per pixel.
+    only the last is kept, alive until another call, 16 bytes per non-zero
+    weight (at most 4 per pixel) and 8 per pixel.
     """
     pull = np.linalg.inv(np.frombuffer(affine).reshape(3, 3))
-    # Each row keeps its 4 corners in order, zero weights included, so a pixel
-    # sums its products in corner order and weights (1, 0, 0, 0) copy it exactly.
     index, weight = resampling_map(pull, height, width)
-    if by_column:  # pixel y * width + x sits at x * height + y; corners at 0 stay 0
+    if by_column:  # pixel y * width + x sits at x * height + y
         index = index % width * height + index // width
+    # Each row keeps its non-zero corners in corner order. The running sum
+    # starts at +0.0, so it never holds -0.0 and a zero product added to it
+    # changes nothing: a pixel sums the same values in the same order as with
+    # all 4 corners, and weights (1, 0, 0, 0) copy it exactly.
+    kept = weight.T != 0.0
     n_pix = height * width
-    warp = sparse.csr_array((weight.T.ravel(), index.T.ravel(),
-                             np.arange(0, 4 * n_pix + 1, 4)), shape=(n_pix, n_pix))
+    warp = sparse.csr_array(
+        (weight.T[kept], index.T[kept],
+         np.concatenate(([0], np.cumsum(np.count_nonzero(kept, axis=1))))),
+        shape=(n_pix, n_pix))
     for part in (warp.data, warp.indices, warp.indptr):
         part.flags.writeable = False
     return warp
+
+
+def _block_warps(warp: sparse.csr_array, counts: set[int]) -> dict[int, sparse.csr_array]:
+    """For each frame count n in counts, n copies of warp down a block diagonal.
+
+    Applied to n frames as stored, one pixel per row, it warps each frame on
+    its own. The largest is built once, with int32 indices as a block holds
+    about 2^16 values; the others are views of its leading rows.
+    """
+    n_pix, nnz = warp.shape[0], warp.nnz
+    most = max(counts)
+    if most == 1:
+        return {1: warp}
+    offsets = np.arange(most, dtype=np.int32)[:, None]
+    stacked = (np.tile(warp.data, most),
+               (warp.indices.astype(np.int32) + offsets * n_pix).ravel(),
+               np.append((warp.indptr[:-1].astype(np.int32) + offsets * nnz).ravel(),
+                         np.int32(most * nnz)))
+    return {n: sparse.csr_array((stacked[0][:n * nnz], stacked[1][:n * nnz],
+                                 stacked[2][:n * n_pix + 1]),
+                                shape=(n * n_pix, n * n_pix), copy=False)
+            for n in counts}
 
 
 class _Plan(NamedTuple):
@@ -215,7 +243,9 @@ class _Plan(NamedTuple):
     source: np.ndarray      # the checked display clip, (n, w, h, 3) if stored by column
     shown: np.ndarray       # the display frame each capture shows
     bounds: list[int]       # block edges: block i holds captures bounds[i]..bounds[i+1]
-    warp: sparse.csr_array  # the kept warp of the clip's homography, frame size and layout
+    # The kept warp of the clip's homography, frame size and layout, on a block
+    # diagonal, by the number of frames a block shows (see _block_warps).
+    warps: dict[int, sparse.csr_array]
     size: tuple[int, int]   # the frames' (height, width)
 
 
@@ -241,12 +271,15 @@ def _plan(frames: np.ndarray, display_fps: Fraction, params: ChannelParams,
     while bounds[-1] < n_out:
         last_shown = shown[min(bounds[-1] + step, n_out) - 1]
         bounds.append(int(np.searchsorted(shown, last_shown, side="right")))
+    # Every block starts on a new display frame, so the captures that show one
+    # count the frames a block shows.
+    counts = np.add.reduceat(np.diff(shown, prepend=-1) != 0, bounds[:-1])
     # A clip stored column by column is read in its own memory order, so no
     # frame is transposed: the warp numbers its source pixels the same way.
     by_column = abs(source.strides[2]) > abs(source.strides[1])
+    warp = _warp_operator(params.affine.tobytes(), height, width, by_column)
     return _Plan(source.transpose(0, 2, 1, 3) if by_column else source, shown, bounds,
-                 _warp_operator(params.affine.tobytes(), height, width, by_column),
-                 (height, width))
+                 _block_warps(warp, set(counts.tolist())), (height, width))
 
 
 def _walk(plan: _Plan, blocks: Iterator[tuple[int, int]], gains: list[float],
@@ -269,10 +302,12 @@ def _walk(plan: _Plan, blocks: Iterator[tuple[int, int]], gains: list[float],
     key = fresh["state"]["key"]
     for start, end in blocks:
         shown, capture_of = np.unique(plan.shown[start:end], return_inverse=True)
-        # Rows run over pixels as the source stores them, columns over shown
-        # frames, then planes: (h w, shown [, 3]).
-        pixels = np.moveaxis(plan.source[(shown, ...) + planes], 0, 2)
-        warped = plan.warp @ to_unit(pixels.reshape(math.prod(plan.size), -1))
+        # The shown frames as stored: one pixel per row, one plane per column.
+        pixels = plan.source[(shown, ...) + planes]
+        unit = to_unit(pixels).reshape(-1, 3 if plane is None else 1)
+        warped = (plan.warps[len(shown)] @ unit).reshape((len(shown),) + plan.size
+                                                         + pixels.shape[3:])
+        del unit
         noise = []
         if params.noise_sigma > 0.0:
             for k in range(start, end):
@@ -280,14 +315,18 @@ def _walk(plan: _Plan, blocks: Iterator[tuple[int, int]], gains: list[float],
                 philox.state = fresh
                 draw = rng.normal(0.0, params.noise_sigma, size=plan.size + (3,))
                 noise.append(draw if plane is None else draw[..., plane])
-        for gain in gains:
-            observed = np.moveaxis((warped * gain).reshape(plan.size + pixels.shape[2:]),
-                                   2, 0)[capture_of]
+        repeated = len(shown) < end - start
+        for i, gain in enumerate(gains):
+            if repeated:  # some display frame is shown by more than one capture
+                observed = warped[capture_of]
+            else:  # the last gain scales the warped frames themselves
+                observed = warped if i == len(gains) - 1 else warped.copy()
+            observed *= gain
             for frame, draw in zip(observed, noise):
                 frame += draw
             yield start, quantize_unit(observed, params.quantizer_bits)
             del observed
-        del warped, noise
+        del pixels, warped, noise
 
 
 def transmit(frames: np.ndarray, display_fps: Fraction, params: ChannelParams,

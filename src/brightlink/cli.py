@@ -195,10 +195,16 @@ def cmd_ber(args) -> int:
     if args.symbols < MC_MIN_SYMBOLS:
         raise ConfigError(f"--symbols must be at least {MC_MIN_SYMBOLS}, got {args.symbols}")
     _check_seed(args.seed)
-    lines = ["q,pe_theory,pe_mc,ci_halfwidth"]
+    models = []
     for q in q_points:
         # Unit swing with sigma = 1/(2q) puts the decision margin exactly at q.
-        model = BerModel(0.0, 1.0, 1.0 / (2.0 * q))
+        sigma = 1.0 / (2.0 * q)
+        if not 0.0 < sigma < math.inf:
+            raise ConfigError(f"q value {_fmt(q)} gives no positive finite "
+                              f"sigma = 1/(2q), got {_fmt(sigma)}")
+        models.append(BerModel(0.0, 1.0, sigma))
+    lines = ["q,pe_theory,pe_mc,ci_halfwidth"]
+    for q, model in zip(q_points, models):
         pe_theory = theoretical_ber(model)
         pe_mc, ci = monte_carlo_ber(model, args.symbols, seed=args.seed)
         lines.append(f"{_fmt(q)},{_fmt(pe_theory)},{_fmt(pe_mc)},{_fmt(ci)}")

@@ -224,7 +224,9 @@ def to_unit(frames: np.ndarray) -> np.ndarray:
     """Convert uint8 pixels to float64 in [0, 1]; pass float frames through."""
     arr = np.asarray(frames)
     if arr.dtype == np.uint8:
-        return arr.astype(np.float64) / 255.0
+        unit = arr.astype(np.float64)
+        unit /= 255.0
+        return unit
     return arr.astype(np.float64, copy=False)
 
 

@@ -109,6 +109,17 @@ class TestMonteCarloBer:
         assert monte_carlo_ber(model, 10_000, seed=np.uint64(2**64 - 1)) == \
             monte_carlo_ber(model, 10_000, seed=2**64 - 1)
 
+    @pytest.mark.parametrize("n_symbols", [20_000.0, True, "20000", np.float64(20_000)])
+    def test_rejects_non_integer_symbol_counts(self, n_symbols):
+        with pytest.raises(ValueError, match="n_symbols must be an integer"):
+            monte_carlo_ber(BerModel(0.0, 1.0, 0.25), n_symbols)
+
+    def test_numpy_integer_symbol_count_matches_the_python_int(self):
+        model = BerModel(0.0, 1.0, 0.25)
+        found = monte_carlo_ber(model, np.int64(20_000), seed=3)
+        assert found == monte_carlo_ber(model, 20_000, seed=3)
+        assert all(type(value) is float for value in found)
+
     def test_deterministic_per_seed(self):
         model = BerModel(0.0, 1.0, 0.25)
         assert monte_carlo_ber(model, 50_000, seed=5) == monte_carlo_ber(
@@ -370,12 +381,12 @@ class TestSweepWork:
         payload, carrier, modulation, channel, region = sweep_case(32, 24, 45.0, 2, 8,
                                                                    0.003)
         n_frames = len(encode_stream(payload, carrier, modulation))
-        # Each block converts and warps one column per shown frame.
+        # Each block converts and warps its shown frames, one pixel per row.
         converted, warped, drawn = [], [], []
-        build_warp, generator = channel_module._warp_operator, np.random.Generator
+        build_warps, generator = channel_module._block_warps, np.random.Generator
 
         def counting_to_unit(pixels):
-            converted.append(pixels.shape[1])
+            converted.append(len(pixels))
             return to_unit(pixels)
 
         class CountingWarp:
@@ -383,7 +394,7 @@ class TestSweepWork:
                 self.warp = warp
 
             def __matmul__(self, unit):
-                warped.append(unit.shape[1])
+                warped.append(len(unit) // (32 * 24))
                 return self.warp @ unit
 
         class CountingGenerator:
@@ -395,8 +406,8 @@ class TestSweepWork:
                 return self.rng.normal(*args, **kwargs)
 
         monkeypatch.setattr(channel_module, "to_unit", counting_to_unit)
-        monkeypatch.setattr(channel_module, "_warp_operator",
-                            lambda *key: CountingWarp(build_warp(*key)))
+        monkeypatch.setattr(channel_module, "_block_warps", lambda *args: {
+            n: CountingWarp(warp) for n, warp in build_warps(*args).items()})
         monkeypatch.setattr(np.random, "Generator", CountingGenerator)
         distances = [1.0 + 0.5 * k for k in range(n_distances)]
         result = distance_sweep(distances, payload, carrier, modulation, channel)

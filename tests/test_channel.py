@@ -21,6 +21,7 @@ from brightlink.channel import (
     identity_homography,
     normalized_gain,
     transmit,
+    transmit_gains,
 )
 from brightlink.core import Color, quantize_unit, to_unit
 from brightlink.decoder import extract_signal
@@ -503,7 +504,7 @@ class TestBlockWalk:
         converted = []
 
         def counting_to_unit(pixels):
-            converted.append(pixels.shape[1] // 3)
+            converted.append(len(pixels))
             return to_unit(pixels)
 
         monkeypatch.setattr(channel_module, "_CORES", workers)
@@ -692,3 +693,64 @@ def test_transmit_output_always_valid(seed, sigma):
     out = transmit(frames, 30.0, params)
     assert out.dtype == np.uint8
     assert out.shape == frames.shape
+
+
+@st.composite
+def homographies(draw, width, height):
+    """Warps whose weights are exactly 1, 0, 0, 0 (identity, whole-pixel shifts
+    and flips), warps that leave sensor rows with no source pixel, and random
+    mild perspectives."""
+    kind = draw(st.sampled_from(["identity", "shift", "flip", "uncovered", "perspective"]))
+    if kind == "identity":
+        return identity_homography()
+    if kind == "shift":
+        return translation(draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
+    if kind == "flip":  # x -> width - 1 - x, or y -> height - 1 - y
+        axis = draw(st.integers(0, 1))
+        matrix = identity_homography()
+        matrix[axis, axis] = -1.0
+        matrix[axis, 2] = (width, height)[axis] - 1
+        return matrix
+    if kind == "uncovered":  # rows past the shift, or below the stretch, read nothing
+        matrix = translation(draw(st.floats(-1.0, 1.0)), draw(st.integers(1, height)))
+        matrix[1, 1] = draw(st.floats(1.0, 3.0))
+        return matrix
+    small = st.floats(-0.2, 0.2)
+    return np.array([[1.0 + draw(small), draw(small), draw(st.floats(-2.0, 2.0))],
+                     [draw(small), 1.0 + draw(small), draw(st.floats(-2.0, 2.0))],
+                     [draw(st.floats(-0.01, 0.01)), draw(st.floats(-0.01, 0.01)), 1.0]])
+
+
+@st.composite
+def channel_cases(draw):
+    width, height = draw(st.integers(1, 16)), draw(st.integers(1, 12))
+    display, camera = draw(st.sampled_from([(30, 24), (30, 45), (30, 60),
+                                            (Fraction(30000, 1001), 30),
+                                            (30, Fraction(30000, 1001))]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    clip = rng.integers(0, 256, (draw(st.integers(1, 9)), height, width, 3), dtype=np.uint8)
+    if draw(st.booleans()):  # float pixels, some of them -0.0
+        clip = clip / 255.0
+        clip[rng.random(clip.shape) < 0.2] = -0.0
+    if draw(st.booleans()):  # each frame stored column by column
+        clip = clip.transpose(0, 2, 1, 3).copy().transpose(0, 2, 1, 3)
+    params = ChannelParams(noise_sigma=draw(st.sampled_from([0.0, 0.01])),
+                           affine=draw(homographies(width, height)), camera_fps=camera,
+                           quantizer_bits=draw(st.sampled_from([8, 16])),
+                           rng_seed=draw(st.integers(0, 2**64 - 1)))
+    return clip, display, params
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=channel_cases())
+def test_transmit_and_each_plane_of_transmit_gains_match_the_reference(case):
+    clip, display, params = case
+    far = replace(params, geometry=ChannelGeometry(distance_m=1.7))
+    expected = [transmit_reference(clip, display, p) for p in (params, far)]
+    assert transmit(clip, display, params).tobytes() == expected[0].tobytes()
+    for plane in Color:
+        blocks = list(transmit_gains(clip, display, params,
+                                     [1.0, normalized_gain(far.geometry)], plane))
+        for gain, reference in enumerate(expected):
+            assert np.concatenate(blocks[gain::2]).tobytes() == \
+                reference[..., plane].tobytes()

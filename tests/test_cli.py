@@ -363,9 +363,16 @@ class TestBerCommand:
         assert float(pe_theory) == pytest.approx(0.022750131948, abs=1e-9)
         assert abs(float(pe_mc) - float(pe_theory)) < float(ci)
 
-    def test_rejects_bad_q(self, tmp_path):
+    def test_rejects_bad_q(self, tmp_path, capsys):
         assert main(["ber", "--q", "0"]) == EXIT_USAGE
         assert main(["ber", "--q", "abc"]) == EXIT_USAGE
+        # sigma = 1/(2q) overflows to inf, or underflows to 0 from 2q = inf.
+        out = tmp_path / "ber.csv"
+        for q in ("1e-310", "1,1e308"):
+            capsys.readouterr()
+            assert main(["ber", "--q", q, "--out", str(out)]) == EXIT_USAGE
+            assert "gives no positive finite sigma = 1/(2q)" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_rejects_too_few_symbols(self, capsys):
         assert main(["ber", "--q", "1", "--symbols", "5"]) == EXIT_USAGE
