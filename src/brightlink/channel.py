@@ -296,9 +296,11 @@ def _walk(plan: _Plan, blocks: Iterator[tuple[int, int]], gains: list[float],
     """
     planes = (slice(None),) if plane is None else (plane,)
     # Capture k reads the stream of key (seed, k) from its start, as a fresh
-    # Philox would; a uint64 key keeps big seeds exact.
+    # Philox would; its state is set from lists, which the setter reads faster.
     philox = np.random.Philox(key=np.array([params.rng_seed, 0], dtype=np.uint64))
     fresh, rng = philox.state, np.random.Generator(philox)
+    fresh.update(state={name: word.tolist() for name, word in fresh["state"].items()},
+                 buffer=fresh["buffer"].tolist())
     key = fresh["state"]["key"]
     for start, end in blocks:
         shown, capture_of = np.unique(plan.shown[start:end], return_inverse=True)
@@ -308,13 +310,17 @@ def _walk(plan: _Plan, blocks: Iterator[tuple[int, int]], gains: list[float],
         warped = (plan.warps[len(shown)] @ unit).reshape((len(shown),) + plan.size
                                                          + pixels.shape[3:])
         del unit
-        noise = []
+        noise = None
         if params.noise_sigma > 0.0:
-            for k in range(start, end):
+            noise = np.empty((end - start,) + plan.size + (3,))
+            for k, draw in enumerate(noise, start):
                 key[1] = k
                 philox.state = fresh
-                draw = rng.normal(0.0, params.noise_sigma, size=plan.size + (3,))
-                noise.append(draw if plane is None else draw[..., plane])
+                rng.standard_normal(out=draw)
+            # normal(0, s) would draw 0.0 + s z: only the sign of a zero differs,
+            # and it cannot reach observed, which is never -0.0.
+            noise *= params.noise_sigma
+            noise = noise[(...,) + planes]
         repeated = len(shown) < end - start
         for i, gain in enumerate(gains):
             if repeated:  # some display frame is shown by more than one capture
@@ -322,8 +328,8 @@ def _walk(plan: _Plan, blocks: Iterator[tuple[int, int]], gains: list[float],
             else:  # the last gain scales the warped frames themselves
                 observed = warped if i == len(gains) - 1 else warped.copy()
             observed *= gain
-            for frame, draw in zip(observed, noise):
-                frame += draw
+            if noise is not None:
+                observed += noise
             yield start, quantize_unit(observed, params.quantizer_bits)
             del observed
         del pixels, warped, noise

@@ -241,8 +241,7 @@ def quantize_unit(frames: np.ndarray, bits: int = 8) -> np.ndarray:
     levels = (1 << bits) - 1
     q = np.multiply(frames, levels, dtype=np.float64)
     q += 0.5
-    np.floor(q, out=q)
     np.clip(q, 0, levels, out=q)
-    if bits == 8:
+    if bits == 8:  # the cast truncates, which is floor on [0, 255]
         return q.astype(np.uint8)
-    return (q / levels).astype(np.float32)
+    return (np.floor(q, out=q) / levels).astype(np.float32)

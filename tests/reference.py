@@ -7,10 +7,11 @@ encode_stream_reference is the earlier per-symbol encoder loop, kept to check
 the per-level pass that replaced it; it reuses the package's framing and
 level table, which are checked on their own.
 transmit_reference is the earlier per-capture channel loop, kept to check the
-block walk that replaced it; it reuses the package's resampling map, gain and
-quantizer, which have oracles of their own here. distance_sweep_reference is
-the earlier sweep, one transmit and one decode_frames per distance, kept to
-check the single pass over the clip that replaced it.
+block walk that replaced it; it reuses the package's resampling map and gain,
+which have oracles of their own here, and quantizes with quantize_reference.
+distance_sweep_reference is the earlier sweep, one transmit and one
+decode_frames per distance, kept to check the single pass over the clip that
+replaced it.
 """
 
 from __future__ import annotations
@@ -249,6 +250,18 @@ def capture_count_reference(n_in: int, display_fps, camera_fps) -> int:
     return max(1, round(n_in * Fraction(camera_fps) / Fraction(display_fps)))
 
 
+def quantize_reference(frames, bits: int) -> np.ndarray:
+    """Quantize unit-range floats to 2**bits levels, rounding halves up, in five
+    passes: multiply, add one half, floor, clip, cast. uint8 at 8 bits, else
+    float32 on the unit-range grid."""
+    levels = 2**bits - 1
+    q = np.asarray(frames, dtype=np.float64) * levels
+    q = q + 0.5
+    q = np.floor(q)
+    q = np.clip(q, 0, levels)
+    return q.astype(np.uint8) if bits == 8 else (q / levels).astype(np.float32)
+
+
 def transmit_reference(frames: np.ndarray, display_fps, params) -> np.ndarray:
     """Capture a clip one frame at a time, as the channel did before its block walk.
 
@@ -258,7 +271,7 @@ def transmit_reference(frames: np.ndarray, display_fps, params) -> np.ndarray:
     (seed, k).
     """
     from brightlink.channel import normalized_gain, resampling_map
-    from brightlink.core import quantize_unit, to_unit
+    from brightlink.core import to_unit
 
     source = np.asarray(frames)
     n_in = source.shape[0]
@@ -295,7 +308,7 @@ def transmit_reference(frames: np.ndarray, display_fps, params) -> np.ndarray:
             noise = np.random.Generator(np.random.Philox(key=key)).normal(
                 0.0, params.noise_sigma, size=observed.shape)
             observed = observed + noise
-        captured.append(quantize_unit(observed, params.quantizer_bits))
+        captured.append(quantize_reference(observed, params.quantizer_bits))
     return np.stack(captured)
 
 

@@ -401,9 +401,9 @@ class TestSweepWork:
             def __init__(self, philox):
                 self.philox, self.rng = philox, generator(philox)
 
-            def normal(self, *args, **kwargs):
+            def standard_normal(self, *args, **kwargs):
                 drawn.append(int(self.philox.state["state"]["key"][1]))
-                return self.rng.normal(*args, **kwargs)
+                return self.rng.standard_normal(*args, **kwargs)
 
         monkeypatch.setattr(channel_module, "to_unit", counting_to_unit)
         monkeypatch.setattr(channel_module, "_block_warps", lambda *args: {

@@ -407,6 +407,23 @@ def test_warped_noisy_capture_bytes_are_pinned():
     assert digest == "f33f6b2055ca6f25127e3402717a7fa52b83cf87662f036575bcf84d063b9e13"
 
 
+@pytest.mark.parametrize("settings, expected", [
+    # The float32 quantizer path.
+    (dict(quantizer_bits=16, rng_seed=3),
+     "20dabcc5800fb57a54322a4ffb8c58aa8aa3eb86990c2cd0ffd1885620e1ce52"),
+    # The largest seed: a Philox key word of 2**63 or more.
+    (dict(rng_seed=2**64 - 1),
+     "01e8d58545b215f9d7631ba06695332cf81e245618c8b69560052c65e504446c"),
+])
+def test_warped_noisy_capture_bytes_are_pinned_at_other_settings(settings, expected):
+    # The clip and the homography of test_warped_noisy_capture_bytes_are_pinned.
+    frames = np.random.default_rng(5).integers(0, 256, (6, 18, 24, 3), dtype=np.uint8)
+    affine = np.array([[0.95, 0.08, 1.3], [-0.06, 0.97, 0.7], [0.001, -0.0008, 1.0]])
+    params = ChannelParams(geometry=ChannelGeometry(distance_m=1.5), noise_sigma=0.01,
+                           affine=affine, camera_fps=24.0, **settings)
+    assert hashlib.sha256(transmit(frames, 30.0, params).tobytes()).hexdigest() == expected
+
+
 def test_identity_noisy_capture_bytes_are_pinned():
     # The identity homography goes through the same sparse warp as any other;
     # these bytes were recorded when it still skipped the warp.

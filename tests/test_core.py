@@ -19,6 +19,7 @@ from brightlink.core import (
     to_unit,
     validate_frames,
 )
+from reference import quantize_reference
 
 
 def test_color_parse():
@@ -277,6 +278,42 @@ class TestQuantizeUnit:
         for bits in (0, 31, -1):
             with pytest.raises(ValueError, match="quantizer bits"):
                 quantize_unit(np.zeros(1), bits)
+
+    @staticmethod
+    def assert_matches_reference(values, bits):
+        out = quantize_unit(values, bits)
+        expected = quantize_reference(values, bits)
+        assert out.dtype == (np.uint8 if bits == 8 else np.float32) == expected.dtype
+        assert out.shape == values.shape
+        assert out.tobytes() == expected.tobytes()
+
+    @staticmethod
+    def around(values):
+        """values and their float neighbours on both sides, in values' dtype."""
+        return np.concatenate([np.nextafter(values, values.dtype.type(-np.inf)), values,
+                               np.nextafter(values, values.dtype.type(np.inf))])
+
+    @pytest.mark.parametrize("bits", range(1, 17))
+    def test_every_half_step_matches_the_reference(self, bits):
+        # Each value that a capture rounds at, (j + 1/2) / levels, and the
+        # floats next to it, from above the top level to below the bottom.
+        levels = (1 << bits) - 1
+        self.assert_matches_reference(
+            self.around((np.arange(-1, levels + 1) + 0.5) / levels), bits)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), bits=st.integers(1, 30),
+           dtype=st.sampled_from([np.float64, np.float32]))
+    def test_matches_the_reference(self, data, bits, dtype):
+        levels = (1 << bits) - 1
+        steps = data.draw(st.lists(st.integers(-1, levels), min_size=1, max_size=8))
+        outside = data.draw(st.lists(st.floats(-1e6, -0.0) | st.floats(1.0, 1e6)
+                                     | st.sampled_from([-np.inf, np.inf]), max_size=4))
+        inside = data.draw(st.lists(st.floats(0.0, 1.0), max_size=4))
+        values = np.concatenate([self.around((np.array(steps, dtype) + dtype(0.5))
+                                             / dtype(levels)),
+                                 np.array(outside + inside, dtype)])
+        self.assert_matches_reference(values.reshape(-1, 1, 1), bits)
 
 
 def test_symbol_series_validation():
