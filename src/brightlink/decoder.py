@@ -19,7 +19,6 @@ from .core import (
     check_pixels,
     floor_progression,
     symbols_to_bits,
-    to_unit,
     validate_frames,
 )
 from .encoder import CRC_BITS, LENGTH_BITS, crc32_bits, preamble_bits, preamble_symbols
@@ -118,10 +117,10 @@ def extract_signal(frames: np.ndarray, homography: np.ndarray | None = None,
     when given, each capture is rectified back into display coordinates before
     measuring (a rectified pixel at display position p is pulled from sensor
     position H p). region is an (x, y, w, h) crop in the rectified frame; by
-    default the whole frame is averaged. The weight image that rectifies,
-    crops and averages is built once per homography, frame size and region,
-    and kept after the call (8 bytes per sensor pixel) until a call with
-    another homography, frame size or region builds the next.
+    default the whole frame is averaged. A uint8 sample is the weighted sum of
+    the raw pixel values, divided by 255 once. The weight image is built once
+    per homography, frame size and region, and kept (8 bytes per sensor pixel)
+    until a call with another homography, frame size or region builds the next.
     """
     planes = validate_frames(frames)[..., int(channel)]
     weights = _bound_weights(planes.shape[1:], homography, region)
@@ -145,7 +144,9 @@ def _bound_weights(size: tuple[int, int], homography, region) -> np.ndarray:
 
 
 def _block_samples(planes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    return to_unit(planes).reshape(-1, weights.size) @ weights
+    """Each plane's weighted sum; a uint8 one, of raw values, divided by 255 once."""
+    samples = planes.astype(np.float64, copy=False).reshape(-1, weights.size) @ weights
+    return samples / 255.0 if planes.dtype == np.uint8 else samples
 
 
 class StagedSignal:
@@ -155,8 +156,8 @@ class StagedSignal:
     and refuses values as validate_frames does. The first fixes the frame size
     and dtype and binds the weight image (a bad region or homography fails
     there). Each block is copied into a stage of extract_block_frames captures,
-    reduced whenever it fills, so series() is bit for bit extract_signal on the
-    whole clip with the same arguments.
+    reduced whenever it fills (a uint8 sample is divided by 255 once), so
+    series() of uint8 or float32 captures is extract_signal's, bit for bit.
     """
 
     def __init__(self, homography=None, region=None, sample_rate=Fraction(1)):
@@ -385,9 +386,7 @@ def decode_series(series: SymbolSeries, params: ModulationParams, camera_fps: Fr
     levels = estimate_levels(series, sync, params)
     symbols = decide_symbols(series, sync, levels, params)
     payload, crc_ok = deframe(symbols_to_bits(symbols, params), params)
-    ber = None
-    if reference_payload is not None:
-        ber = bit_error_rate(payload, reference_payload)
+    ber = None if reference_payload is None else bit_error_rate(payload, reference_payload)
     return DecodeReport(payload=payload, series=series, sync=sync, levels=levels,
                         symbols=symbols, crc_ok=crc_ok, ber_vs_reference=ber)
 

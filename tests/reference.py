@@ -8,7 +8,8 @@ the per-level pass that replaced it; it reuses the package's framing and
 level table, which are checked on their own.
 transmit_reference is the earlier per-capture channel loop, kept to check the
 block walk that replaced it; it reuses the package's resampling map and gain,
-which have oracles of their own here, and quantizes with quantize_reference.
+which have oracles of their own here, converts pixels with unit_reference and
+quantizes with quantize_reference.
 distance_sweep_reference is the earlier sweep, one transmit and one
 decode_frames per distance, kept to check the single pass over the clip that
 replaced it.
@@ -129,7 +130,7 @@ def nearest_level_index(value: float, levels) -> int:
 
 
 def bilinear_pull_reference(image: np.ndarray, pull) -> np.ndarray:
-    """Resample an HxWxC float image one pixel at a time.
+    """Resample an HxW or HxWxC float image one pixel at a time.
 
     Output pixel (x, y) reads the source at pull @ (x, y, 1) by bilinear
     interpolation; corners outside the source read as black.
@@ -149,6 +150,28 @@ def bilinear_pull_reference(image: np.ndarray, pull) -> np.ndarray:
                 if 0 <= cx < w and 0 <= cy < h:
                     out[y, x] += weight * image[cy, cx]
     return out
+
+
+def unit_reference(frame) -> np.ndarray:
+    """Pixels as float64: uint8 divided by 255 one at a time, floats as they are."""
+    frame = np.asarray(frame)
+    return frame / 255.0 if frame.dtype == np.uint8 else frame.astype(np.float64)
+
+
+def extract_reference(frames, pull, region, channel: int) -> list[float]:
+    """Each frame's mean over an (x, y, w, h) region of its rectified plane.
+
+    A uint8 frame is divided by 255 pixel by pixel first. The plane is pulled
+    one pixel at a time by bilinear_pull_reference, and the region's pixels
+    are summed exactly with math.fsum.
+    """
+    x, y, w, h = region
+    pull = np.asarray(pull, dtype=np.float64).tolist()
+    means = []
+    for frame in np.asarray(frames):
+        rectified = bilinear_pull_reference(unit_reference(frame)[:, :, channel], pull)
+        means.append(math.fsum(rectified[y:y + h, x:x + w].ravel().tolist()) / (w * h))
+    return means
 
 
 def central_window_reference(offset: int, r, symbol: int, n_samples: int) -> np.ndarray:
@@ -271,7 +294,6 @@ def transmit_reference(frames: np.ndarray, display_fps, params) -> np.ndarray:
     (seed, k).
     """
     from brightlink.channel import normalized_gain, resampling_map
-    from brightlink.core import to_unit
 
     source = np.asarray(frames)
     n_in = source.shape[0]
@@ -293,7 +315,7 @@ def transmit_reference(frames: np.ndarray, display_fps, params) -> np.ndarray:
     for k in range(n_out):
         idx = int(src_index[k])
         if idx != cached_idx:
-            unit = to_unit(source[idx])
+            unit = unit_reference(source[idx])
             if warp is not None:
                 flat = unit.reshape(-1, 3)
                 index, weight = warp

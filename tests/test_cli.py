@@ -18,6 +18,8 @@ from brightlink.cli import (
     build_parser,
     main,
 )
+from brightlink.config import load_config
+from brightlink.decoder import decode_frames
 from brightlink.encoder import make_carrier
 
 DEMO_CFG = """
@@ -403,12 +405,14 @@ def test_python_dash_m_runs_the_entry_point(tmp_path):
 @pytest.mark.parametrize("text, report_digest, csv_digest", [
     (WARPED_M4_CFG, "c7ba1ce3e95c021c1e84da6b4a1cf52dc887439d7877d369a25a7aa31accc19f",
      "4190dd9d50ea1d305f95daf5f1076d58ba7fdefa0bc4a147278616a049aaabaf"),
-    (NTSC_M8_CFG, "b7902d50e32bc09c27884f80b29882451d8d20e2157b8722b587466db34b5030",
+    (NTSC_M8_CFG, "1209d1f2c52f5fc8518b0433e57df69bc39f64be5141b6cfae57339c32e3ccac",
      "14c457fa7e336af3352b456e97d188e45994cb4b78df3ed36a6ef61399e45615"),
 ], ids=["warped_m4", "ntsc_m8"])
 def test_decode_artifacts_are_pinned(tmp_path, text, report_digest, csv_digest):
     # Any change to sync, level estimation, decisions or the printed report
-    # changes these bytes.
+    # changes these bytes. ntsc_m8's report was re-recorded when the receiver
+    # came to divide each uint8 sample by 255 once: its sigma moved in the
+    # 12th digit.
     cfg = tmp_path / "link.cfg"
     cfg.write_text(text, encoding="utf-8")
     code, _, _, report, csv = run_link(tmp_path, cfg, payload="110100111000101101011001")
@@ -417,15 +421,47 @@ def test_decode_artifacts_are_pinned(tmp_path, text, report_digest, csv_digest):
     assert hashlib.sha256(csv.read_bytes()).hexdigest() == csv_digest
 
 
+@pytest.mark.parametrize("text, symbols, pe_measured", [
+    (WARPED_M4_CFG, "303030303030303000000000000001203103202311212322103233222223",
+     ["0", "0", "0", "0", "nan"]),
+    (NTSC_M8_CFG, "7070707070707070000000000615161326335116765254",
+     ["0", "0", "0", "0", "nan"]),
+], ids=["warped_m4", "ntsc_m8"])
+def test_decisions_are_pinned(tmp_path, capsys, text, symbols, pe_measured):
+    # What the link decides, apart from the last bits of its samples: the sync
+    # offset, every symbol, the payload and its CRC, and each sweep row's
+    # measured error rate. Recorded while uint8 pixels were divided by 255
+    # one at a time, before the receiver divided each sample once.
+    cfg = tmp_path / "link.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    payload = "110100111000101101011001"
+    code, _, rx, report, _ = run_link(tmp_path, cfg, payload=payload)
+    assert code == EXIT_OK
+    entries = parse_report(report)
+    assert (entries["sync_offset"], entries["payload_hex"], entries["crc_ok"]) == (
+        "0", "d38b59", "true")
+    config = load_config(cfg)
+    frames, camera_fps = read_bfrs(rx)
+    decoded = decode_frames(frames, config.modulation, camera_fps,
+                            homography=config.channel.affine, region=config.region)
+    assert "".join(map(str, decoded.symbols)) == symbols
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(cfg), "--distances", "1,1.5,2,3,1e9",
+                 "--out", str(out)]) == EXIT_OK
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [row[3] for row in rows] == pe_measured
+
+
 @pytest.mark.parametrize("text, csv_digest", [
-    (WARPED_M4_CFG, "676af5e7d338af20bfc347e8c25f718527ab368719ce54ab564f752aceb17aee"),
-    (NTSC_M8_CFG, "b71cec996f47663597f9a0cffacbe9897fc56196344dc2fc8cd1ebb71aae8eef"),
+    (WARPED_M4_CFG, "30b91505c78f69c3d7e77607379f690c89e3cc49d40574671dc7723ed772f51b"),
+    (NTSC_M8_CFG, "2b3d2a639109462c37e6daf9ededc4d7a73d1157646bc7b1d96e81e8e9b2188b"),
     (GREEN_16BIT_CFG, "e0a46477cec8273533f13b000464846bcbcc1fb0dcb2b3700c181be532bd5f66"),
 ], ids=["warped_m4", "ntsc_m8", "green_16bit"])
 def test_sweep_csv_is_pinned(tmp_path, capsys, text, csv_digest):
-    # The first two were recorded when the sweep sent and decoded the clip once
-    # per distance, green_16bit when it sent all three planes once; the 1e9 m
-    # row fails and is printed as NaN.
+    # green_16bit was recorded when the sweep sent all three planes once. The
+    # first two were re-recorded when the receiver came to divide each uint8
+    # sample by 255 once: pe_theory moved in its 12th digit on two rows each.
+    # The 1e9 m row fails and is printed as NaN.
     cfg = tmp_path / "link.cfg"
     cfg.write_text(text, encoding="utf-8")
     out = tmp_path / "sweep.csv"

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import re
 import math
 import tracemalloc
@@ -45,6 +46,7 @@ from reference import (
     bilinear_pull_reference,
     central_window_reference,
     correlation_reaches_reference,
+    extract_reference,
     near_integer,
     nearest_level_index,
     sliding_correlation_reference,
@@ -140,6 +142,20 @@ class TestExtractSignal:
                     for frame in frames]
         np.testing.assert_allclose(series.values, expected, rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("dtype, warped, digest", [
+        (np.float32, True, "1865f69947039ae85fa587728cad40f0b202d28914c307aed3121176b4955d7c"),
+        (np.float64, False, "fa8f8832f77ed71d489040bb26e7da813011f866916f187df1b5d8079914934f"),
+    ], ids=["float32_warped", "float64"])
+    def test_float_clips_keep_their_bytes(self, dtype, warped, digest):
+        # 16-bit captures arrive as float32. Recorded while uint8 pixels were
+        # divided by 255 one at a time; float pixels are never divided, so
+        # their samples keep these bytes. The clip spans two blocks.
+        frames = np.random.default_rng(17).random((360, 24, 32, 3), dtype=dtype)
+        kwargs = (dict(homography=TestRectifyCache.A, region=(3, 2, 25, 19),
+                       channel=Color.GREEN) if warped else {})
+        values = extract_signal(frames, **kwargs).values
+        assert hashlib.sha256(values.tobytes()).hexdigest() == digest
+
 
 class TestRectifyCache:
     """extract_signal builds its weight image once per homography, frame size
@@ -217,6 +233,55 @@ class TestRectifyCache:
         info = decoder_module._rectify_weights.cache_info()
         assert info.misses == 20
         assert info.currsize == 1
+
+
+class TestExtractMatchesExactMeans:
+    """A uint8 sample is the weighted sum of the raw pixel values divided by 255
+    once, not a sum of pixels divided one at a time; both give the exact mean
+    of the rectified region up to float64 rounding."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_uint8_and_float_clips_match_the_oracle(self, data):
+        height, width = data.draw(st.integers(1, 24)), data.draw(st.integers(1, 32))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        shape = (data.draw(st.integers(1, 5)), height, width, 3)
+        dtype = data.draw(st.sampled_from([np.uint8, np.float32, np.float64]))
+        frames = (rng.integers(0, 256, shape, dtype=np.uint8) if dtype is np.uint8
+                  else rng.random(shape, dtype=dtype))
+        # Near the identity: a small linear part, a shift of a few pixels and
+        # a slight perspective.
+        small = st.floats(-0.05, 0.05)
+        pull = np.eye(3) + np.array([
+            [data.draw(small), data.draw(small), data.draw(st.floats(-2.0, 2.0))],
+            [data.draw(small), data.draw(small), data.draw(st.floats(-2.0, 2.0))],
+            [data.draw(st.floats(-1e-3, 1e-3)), data.draw(st.floats(-1e-3, 1e-3)), 0.0]])
+        x, y = data.draw(st.integers(0, width - 1)), data.draw(st.integers(0, height - 1))
+        region = (x, y, data.draw(st.integers(1, width - x)),
+                  data.draw(st.integers(1, height - y)))
+        color = data.draw(st.sampled_from(Color))
+
+        def extract(clip):
+            return extract_signal(clip, homography=pull, region=region,
+                                  channel=color).values
+        values = extract(frames)
+        np.testing.assert_allclose(values, extract_reference(frames, pull, region, color),
+                                   rtol=1e-13, atol=0.0)
+        signal = StagedSignal(pull, region)
+        sizes = data.draw(st.lists(st.integers(0, len(frames)), max_size=3))
+        edges = [0, *sorted(sizes), len(frames)]
+        for start, stop in zip(edges[:-1], edges[1:]):
+            signal.add(frames[start:stop, :, :, color])
+        staged = signal.series().values
+        if dtype is np.float64:
+            # extract_signal reduces a float64 clip's strided planes where they
+            # lie, by numpy's own loop; a stage is contiguous and goes to BLAS,
+            # which sums in another order.
+            np.testing.assert_allclose(staged, values, rtol=1e-13, atol=0.0)
+        else:
+            assert staged.tobytes() == values.tobytes()
+        if dtype is np.uint8:
+            np.testing.assert_allclose(extract(frames / 255.0), values, rtol=1e-13, atol=0.0)
 
 
 class TestStagedSignal:
