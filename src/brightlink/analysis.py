@@ -11,7 +11,7 @@ from scipy.special import erfc
 
 from .channel import ChannelParams, normalized_gain, transmit_gains
 from .core import ModulationParams, as_bits, as_int, as_seed
-from .decoder import StagedSignal, central_windows, decode_series
+from .decoder import StagedSignal, decode_series
 from .encoder import encode_stream
 
 MC_MIN_SYMBOLS = 10_000
@@ -198,7 +198,7 @@ def _decision_error_estimate(report) -> float:
     spacing = (levels.mu1 - levels.mu0) / (m - 1)
     flips = sum((b ^ (b + 1)).bit_count() for b in range(m - 1))
     neighbour_factor = 2 * flips / (m * (m.bit_length() - 1))
-    start, stop = central_windows(report.sync, len(report.series), len(report.symbols))
+    start, stop = report.sync.windows[:, :len(report.symbols)]
     n_central, n_symbols = np.unique(stop - start, return_counts=True)
     pe = q_function(spacing / (2.0 * levels.sigma / np.sqrt(n_central)))
     return float(np.sum(pe * (n_symbols / n_symbols.sum()))) * neighbour_factor

@@ -263,7 +263,8 @@ def _plan(frames: np.ndarray, display_fps: Fraction, params: ChannelParams,
 
     n_in, height, width = source.shape[:3]
     n_out = max(1, round(n_in / ratio))
-    shown = np.minimum(floor_progression(n_out, ratio / 2, ratio), n_in - 1)
+    p, q = ratio.numerator, ratio.denominator
+    shown = np.minimum(floor_progression(n_out, p, 2 * p, 2 * q), n_in - 1)
     # Blocks of about 2^16 values bound the float copies on long clips; a block
     # ends with the last capture of a display frame, so each is warped once.
     step = max(1, (1 << 16) // (3 * height * width))

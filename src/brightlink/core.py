@@ -37,11 +37,10 @@ def as_seed(seed, name: str) -> int:
     raise ValueError(f"{name} must be an integer in [0, 2**64), got {seed!r}")
 
 
-def floor_progression(n: int, first: Fraction, step: Fraction) -> np.ndarray:
-    """floor(first + k * step) for k = 0 .. n-1, exactly, as int64; the terms are
-    Python ints once they reach 2**62 (a float rate's denominator is near 2**52)."""
-    den = math.lcm(first.denominator, step.denominator)
-    a, b = (x.numerator * (den // x.denominator) for x in (first, step))
+def floor_progression(n: int, a: int, b: int, den: int) -> np.ndarray:
+    """floor((a + b k) / den) for k = 0 .. n-1 and integers a, b, den > 0, exactly,
+    as int64; the terms are Python ints once they reach 2**62 (a float rate's
+    denominator is near 2**52)."""
     k = np.arange(n, dtype=np.int64 if abs(a) + abs(b) * n + den < 1 << 62 else object)
     return ((a + b * k) // den).astype(np.int64, copy=False)
 

@@ -45,12 +45,48 @@ class FramingError(ValueError):
 
 @dataclass(frozen=True)
 class SyncResult:
+    """The exact symbol timeline of the trace of n_samples samples it was found
+    in: symbol k spans samples offset + [k, k + 1) frames_per_symbol."""
+
     offset: int
     frames_per_symbol: Fraction
+    n_samples: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "frames_per_symbol",
-                           as_rate(self.frames_per_symbol, "frames_per_symbol"))
+        for name, check in (("offset", as_int), ("frames_per_symbol", as_rate),
+                            ("n_samples", as_int)):
+            object.__setattr__(self, name, check(getattr(self, name), name))
+        if self.n_samples < 0:
+            raise ValueError(f"n_samples must not be negative, got {self.n_samples}")
+
+    @functools.cached_property
+    def windows(self) -> np.ndarray:
+        """Start and stop sample (rows) of each symbol's central window, clipped to
+        [0, n_samples), through the first symbol that starts past the end.
+
+        A central window is the middle half of the symbol period, since edge
+        samples may straddle a display-frame boundary, or the sample nearest the
+        center when that half holds none. The read-only table is built once, on
+        first use, in integer arithmetic on the rate's numerator and denominator;
+        every stage slices it."""
+        o, n = self.offset, self.n_samples
+        p, q = self.frames_per_symbol.numerator, self.frames_per_symbol.denominator
+        count = max(0, -((o - n) * q // p)) + 1
+        # Symbol k's central samples lie in o + (k + [1/4, 3/4]) p / q; ceil(x) = -floor(-x).
+        start, stop = (-floor_progression(count, -(4 * o * q + j * p), -4 * p, 4 * q)
+                       for j in (1, 3))
+        # An empty window, start == stop, falls back to stop - 1: the center lies
+        # strictly between the two bounds, so that is the sample nearest it.
+        table = np.clip([np.minimum(start, stop - 1), stop], 0, n)
+        table.flags.writeable = False
+        return table
+
+    def windows_of(self, series: SymbolSeries) -> np.ndarray:
+        """windows, once series is the trace this timeline was found in."""
+        if len(series) != self.n_samples:
+            raise ValueError(f"sync was found in a trace of {self.n_samples} samples, "
+                             f"not {len(series)}")
+        return self.windows
 
 
 @dataclass(frozen=True)
@@ -222,7 +258,8 @@ def synchronize(series: SymbolSeries, params: ModulationParams,
 
     # Sample k sits at time (k + 0.5) capture periods, hence the half-sample
     # shift when assigning samples to template symbols.
-    symbol_of = floor_progression(template_len, 1 / (2 * r), 1 / r)
+    symbol_of = floor_progression(template_len, r.denominator, 2 * r.denominator,
+                                  2 * r.numerator)
     template = np.where(symbol_of % 2 == 0, 1.0, -1.0)
     t_centered = template - template.mean()
     t_norm = float(np.sqrt(np.sum(t_centered**2)))
@@ -237,7 +274,7 @@ def synchronize(series: SymbolSeries, params: ModulationParams,
                         f"{MIN_SYNC_CORRELATION}; no transmission found")
     cutoff = max(MIN_SYNC_CORRELATION, peak - SYNC_PEAK_TOLERANCE)
     earliest = int(np.nonzero(corr >= cutoff)[0][0])
-    return SyncResult(offset=earliest, frames_per_symbol=r)
+    return SyncResult(offset=earliest, frames_per_symbol=r, n_samples=len(values))
 
 
 def _window_correlation(values: np.ndarray, t_centered: np.ndarray,
@@ -257,28 +294,6 @@ def _window_correlation(values: np.ndarray, t_centered: np.ndarray,
         corr = np.correlate(x, t_centered, "valid") / (w_norm * t_norm)
     corr[~np.isfinite(corr)] = -np.inf
     return corr
-
-
-def central_windows(sync: SyncResult, n_samples: int,
-                    n_symbols: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Start and stop sample of each symbol's central window, clipped to [0, n).
-
-    Edge samples may straddle a display-frame boundary, so decisions use the
-    middle 50 percent of each symbol period, or the nearest-center sample when
-    that rounds to nothing. By default the table ends with the first symbol
-    that starts past the end of the trace. The bounds are exact.
-    """
-    r = sync.frames_per_symbol
-    if n_symbols is None:
-        n_symbols = max(0, math.ceil((n_samples - sync.offset) / r)) + 1
-    # Symbol k's central samples lie in offset + (k + [1/4, 3/4]) r; ceil(x) = -floor(-x).
-    start = -floor_progression(n_symbols, -(sync.offset + r / 4), -r)
-    stop = -floor_progression(n_symbols, -(sync.offset + 3 * r / 4), -r)
-    center = floor_progression(n_symbols, sync.offset + r / 2, r)
-    empty = stop <= start
-    start = np.where(empty, center, start)
-    stop = np.where(empty, center + 1, stop)
-    return np.clip(start, 0, n_samples), np.clip(stop, 0, n_samples)
 
 
 def _window_means(values: np.ndarray, start: np.ndarray,
@@ -302,17 +317,18 @@ def estimate_levels(series: SymbolSeries, sync: SyncResult,
                     params: ModulationParams) -> LevelEstimate:
     """Learn symbol amplitudes from the alternating preamble.
 
-    The m per-symbol means are interpolated between the measured top and
-    bottom amplitudes; sigma pools the within-symbol sample deviations.
+    The preamble's central windows are the first rows of sync's one window
+    table. The m per-symbol means are interpolated between the measured top
+    and bottom amplitudes; sigma pools the within-symbol sample deviations.
+    Raises ValueError when series is not the trace sync was found in.
     """
-    values = series.values
     n_preamble = len(preamble_symbols(params))
-    start, stop = central_windows(sync, len(values), n_preamble)
+    start, stop = sync.windows_of(series)[:, :n_preamble]
     counts = stop - start
     if not counts.all():
         raise DegenerateLevelsError(f"preamble symbol {np.argmin(counts)} has "
                                     "no samples")
-    means, pooled = _window_means(values, start, stop)
+    means, pooled = _window_means(series.values, start, stop)
     mu1 = float(means[0::2].mean())
     mu0 = float(means[1::2].mean())
     if not mu1 > mu0:
@@ -330,14 +346,15 @@ def decide_symbols(series: SymbolSeries, sync: SyncResult, levels: LevelEstimate
                    params: ModulationParams) -> np.ndarray:
     """Threshold each symbol's central-window mean into a symbol index.
 
-    Every symbol up to the first one without a captured central-window sample
-    is decided, so a capture that ends inside the last symbol still yields it.
-    Values exactly on a threshold resolve to the higher symbol.
+    The windows are sync's one table. Every symbol up to the first one without
+    a captured central-window sample is decided, so a capture that ends inside
+    the last symbol still yields it. Values exactly on a threshold resolve to
+    the higher symbol. Raises ValueError when series is not the trace sync was
+    found in.
     """
-    values = series.values
-    start, stop = central_windows(sync, len(values))
+    start, stop = sync.windows_of(series)
     decided = int(np.argmin(stop > start))
-    means, _ = _window_means(values, start[:decided], stop[:decided])
+    means, _ = _window_means(series.values, start[:decided], stop[:decided])
     return np.searchsorted(levels.thresholds, means, side="right")
 
 

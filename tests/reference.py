@@ -13,12 +13,17 @@ quantizes with quantize_reference.
 distance_sweep_reference is the earlier sweep, one transmit and one
 decode_frames per distance, kept to check the single pass over the clip that
 replaced it.
+decode_series_reference is the earlier receiver, which rebuilt each stage's
+central windows in Fraction arithmetic, kept stage by stage to check the one
+integer symbol timeline that replaced it; it reuses the package's trace
+correlation, framing and error types, which are checked on their own.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.integrate import quad
@@ -375,3 +380,134 @@ def distance_sweep_reference(distances, payload_bits, carrier, modulation, chann
     slope = fit_loglog_slope([r.distance_m for r in rows if r.error is None],
                              [r.delta_mu for r in rows if r.error is None])
     return SweepResult(rows=tuple(rows), slope=slope)
+
+
+def floor_progression_reference(n: int, first: Fraction, step: Fraction) -> np.ndarray:
+    """floor(first + k * step) for k = 0 .. n-1, exactly, from Fraction terms."""
+    den = math.lcm(first.denominator, step.denominator)
+    a, b = (x.numerator * (den // x.denominator) for x in (first, step))
+    k = np.arange(n, dtype=np.int64 if abs(a) + abs(b) * n + den < 1 << 62 else object)
+    return ((a + b * k) // den).astype(np.int64, copy=False)
+
+
+def synchronize_reference(series, params, camera_fps):
+    """The earlier synchronize: (offset, frames per symbol) of the preamble."""
+    from brightlink.core import as_rate
+    from brightlink.decoder import (MIN_SYNC_CORRELATION, SYNC_PEAK_TOLERANCE,
+                                    SyncError, _window_correlation)
+    from brightlink.encoder import preamble_symbols
+
+    r = as_rate(camera_fps, "camera_fps") / params.symbol_rate
+    template_len = math.ceil(len(preamble_symbols(params)) * r)
+    values = series.values
+    if len(values) < template_len:
+        raise SyncError("trace is shorter than the preamble")
+    symbol_of = floor_progression_reference(template_len, 1 / (2 * r), 1 / r)
+    template = np.where(symbol_of % 2 == 0, 1.0, -1.0)
+    t_centered = template - template.mean()
+    t_norm = float(np.sqrt(np.sum(t_centered**2)))
+    if t_norm == 0.0:
+        raise SyncError("degenerate preamble template")
+    corr = _window_correlation(values, t_centered, t_norm)
+    peak = float(corr.max())
+    if peak < MIN_SYNC_CORRELATION:
+        raise SyncError("no transmission found")
+    cutoff = max(MIN_SYNC_CORRELATION, peak - SYNC_PEAK_TOLERANCE)
+    earliest = int(np.nonzero(corr >= cutoff)[0][0])
+    return SimpleNamespace(offset=earliest, frames_per_symbol=r)
+
+
+def central_windows_reference(sync, n_samples: int, n_symbols: int | None = None):
+    """The earlier central_windows: each symbol's central window, from Fraction bounds."""
+    r = sync.frames_per_symbol
+    if n_symbols is None:
+        n_symbols = max(0, math.ceil((n_samples - sync.offset) / r)) + 1
+    start = -floor_progression_reference(n_symbols, -(sync.offset + r / 4), -r)
+    stop = -floor_progression_reference(n_symbols, -(sync.offset + 3 * r / 4), -r)
+    center = floor_progression_reference(n_symbols, sync.offset + r / 2, r)
+    empty = stop <= start
+    start = np.where(empty, center, start)
+    stop = np.where(empty, center + 1, stop)
+    return np.clip(start, 0, n_samples), np.clip(stop, 0, n_samples)
+
+
+def window_means_reference(values, start, stop):
+    """The earlier _window_means: rows of a zero-padded window matrix."""
+    counts = stop - start
+    column = np.arange(counts.max(initial=0))
+    inside = column < counts[:, None]
+    rows = np.where(inside, values[np.minimum(start[:, None] + column,
+                                              len(values) - 1)], 0.0)
+    means = rows.sum(axis=1) / counts
+    return means, (rows - means[:, None])[inside]
+
+
+def estimate_levels_reference(series, sync, params):
+    """The earlier estimate_levels, on the preamble's own window table."""
+    from brightlink.decoder import DegenerateLevelsError, LevelEstimate
+    from brightlink.encoder import preamble_symbols
+
+    values = series.values
+    n_preamble = len(preamble_symbols(params))
+    start, stop = central_windows_reference(sync, len(values), n_preamble)
+    counts = stop - start
+    if not counts.all():
+        raise DegenerateLevelsError("a preamble symbol has no samples")
+    means, pooled = window_means_reference(values, start, stop)
+    mu1 = float(means[0::2].mean())
+    mu0 = float(means[1::2].mean())
+    if not mu1 > mu0:
+        raise DegenerateLevelsError("top amplitude does not exceed bottom amplitude")
+    dof = pooled.size - n_preamble
+    sigma = float(np.sqrt(np.sum(pooled**2) / dof)) if dof > 0 else 0.0
+    level_means = mu0 + (mu1 - mu0) * np.arange(params.m) / (params.m - 1)
+    thresholds = (level_means[:-1] + level_means[1:]) / 2.0
+    return LevelEstimate(mu0=mu0, mu1=mu1, sigma=sigma,
+                         level_means=level_means, thresholds=thresholds)
+
+
+def decide_symbols_reference(series, sync, levels):
+    """The earlier decide_symbols, on the all-symbol window table."""
+    values = series.values
+    start, stop = central_windows_reference(sync, len(values))
+    decided = int(np.argmin(stop > start))
+    means, _ = window_means_reference(values, start[:decided], stop[:decided])
+    return np.searchsorted(levels.thresholds, means, side="right")
+
+
+def decision_error_estimate_reference(report) -> float:
+    """The earlier sweep prediction, on a window table of the decided symbols."""
+    from brightlink.analysis import q_function
+
+    levels = report.levels
+    if levels.sigma == 0.0:
+        return 0.0
+    m = len(levels.level_means)
+    spacing = (levels.mu1 - levels.mu0) / (m - 1)
+    flips = sum((b ^ (b + 1)).bit_count() for b in range(m - 1))
+    neighbour_factor = 2 * flips / (m * (m.bit_length() - 1))
+    start, stop = central_windows_reference(report.sync, len(report.series),
+                                            len(report.symbols))
+    n_central, n_symbols = np.unique(stop - start, return_counts=True)
+    pe = q_function(spacing / (2.0 * levels.sigma / np.sqrt(n_central)))
+    return float(np.sum(pe * (n_symbols / n_symbols.sum()))) * neighbour_factor
+
+
+def decode_series_reference(series, params, camera_fps, reference_payload):
+    """The earlier decode_series, stage by stage, with the sweep's prediction.
+
+    Returns a namespace of sync, levels, symbols, payload, crc_ok,
+    ber_vs_reference and pe_theory; a failing stage raises as the package does.
+    """
+    from brightlink.core import symbols_to_bits
+    from brightlink.decoder import bit_error_rate, deframe
+
+    sync = synchronize_reference(series, params, camera_fps)
+    levels = estimate_levels_reference(series, sync, params)
+    symbols = decide_symbols_reference(series, sync, levels)
+    payload, crc_ok = deframe(symbols_to_bits(symbols, params), params)
+    report = SimpleNamespace(series=series, sync=sync, levels=levels, symbols=symbols,
+                             payload=payload, crc_ok=crc_ok,
+                             ber_vs_reference=bit_error_rate(payload, reference_payload))
+    report.pe_theory = decision_error_estimate_reference(report)
+    return report

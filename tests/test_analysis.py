@@ -19,7 +19,7 @@ from brightlink.analysis import (
 )
 from brightlink.channel import ChannelGeometry, ChannelParams, transmit
 from brightlink.core import Color, ModulationParams, as_bits, to_unit
-from brightlink.decoder import central_windows, decode_frames, extract_block_frames
+from brightlink.decoder import decode_frames, extract_block_frames
 from brightlink.encoder import encode_stream, frames_needed, make_carrier
 from reference import capture_count_reference, distance_sweep_reference, q_reference
 
@@ -215,8 +215,7 @@ class TestDistanceSweep:
             params = replace(channel, geometry=ChannelGeometry(distance_m=row.distance_m))
             report = decode_frames(transmit(sent, modulation.frame_rate, params),
                                    modulation, params.camera_fps)
-            start, stop = central_windows(report.sync, len(report.series),
-                                          len(report.symbols))
+            start, stop = report.sync.windows[:, :len(report.symbols)]
             assert np.all(stop - start == samples)
             mu0, mu1, sigma = report.levels.mu0, report.levels.mu1, report.levels.sigma
             assert 1e-30 < row.pe_theory < 0.5

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import re
 import math
@@ -18,7 +19,9 @@ from brightlink.channel import (
     identity_homography,
     transmit,
 )
-from brightlink.core import Color, ModulationParams, SymbolSeries, as_bits
+from brightlink.analysis import _decision_error_estimate, distance_sweep
+from brightlink.core import (Color, ModulationParams, SymbolSeries, as_bits, bits_to_symbols,
+                             symbols_to_bits)
 from brightlink.decoder import (
     MIN_SYNC_CORRELATION,
     SYNC_PEAK_TOLERANCE,
@@ -28,7 +31,6 @@ from brightlink.decoder import (
     SyncError,
     SyncResult,
     bit_error_rate,
-    central_windows,
     decide_symbols,
     decode_frames,
     decode_series,
@@ -46,6 +48,7 @@ from reference import (
     bilinear_pull_reference,
     central_window_reference,
     correlation_reaches_reference,
+    decode_series_reference,
     extract_reference,
     near_integer,
     nearest_level_index,
@@ -497,10 +500,48 @@ class TestSynchronize:
         assert synchronize(series, OOK, camera_fps=30.0).offset == 0
 
 
+class TestSyncResult:
+    @pytest.mark.parametrize("value", [5.0, np.float64(5.0), True, Fraction(5)])
+    @pytest.mark.parametrize("name", ["offset", "n_samples"])
+    def test_offset_and_length_must_be_integers(self, name, value):
+        fields = {"offset": 5, "frames_per_symbol": 6, "n_samples": 120, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            SyncResult(**fields)
+
+    def test_numpy_integers_are_taken_as_python_ints(self):
+        sync = SyncResult(offset=np.int64(5), frames_per_symbol=6, n_samples=np.uint16(120))
+        assert type(sync.offset) is int and type(sync.n_samples) is int
+        assert sync == SyncResult(offset=5, frames_per_symbol=6, n_samples=120)
+        assert np.array_equal(sync.windows, SyncResult(5, 6, 120).windows)
+
+    def test_a_negative_length_is_refused(self):
+        with pytest.raises(ValueError, match="n_samples must not be negative"):
+            SyncResult(offset=0, frames_per_symbol=6, n_samples=-1)
+
+    def test_the_window_table_is_built_once_and_read_only(self):
+        sync = SyncResult(offset=3, frames_per_symbol=Fraction(30000, 1001), n_samples=200)
+        assert sync.windows is sync.windows
+        assert sync.windows.shape == (2, 8) and sync.windows.dtype == np.int64
+        with pytest.raises(ValueError, match="read-only"):
+            sync.windows[0, 0] = 1
+
+    def test_stages_refuse_a_trace_of_another_length(self):
+        series = make_preamble_series(OOK, r=6.0, offset=9)
+        sync = synchronize(series, OOK, camera_fps=30.0)
+        assert sync.n_samples == len(series)
+        levels = estimate_levels(series, sync, OOK)
+        for n in (len(series) - 1, len(series) + 1):
+            other = SymbolSeries(np.resize(series.values, n), sample_rate=30.0)
+            with pytest.raises(ValueError, match=f"trace of {len(series)} samples, not {n}"):
+                estimate_levels(other, sync, OOK)
+            with pytest.raises(ValueError, match=f"trace of {len(series)} samples, not {n}"):
+                decide_symbols(other, sync, levels, OOK)
+
+
 class TestEstimateLevels:
     def test_recovers_clean_levels(self):
         series = make_preamble_series(OOK, r=6.0, offset=9, high=0.8, low=0.2)
-        sync = SyncResult(offset=9, frames_per_symbol=6.0)
+        sync = SyncResult(offset=9, frames_per_symbol=6.0, n_samples=len(series))
         levels = estimate_levels(series, sync, OOK)
         assert levels.mu1 == pytest.approx(0.8)
         assert levels.mu0 == pytest.approx(0.2)
@@ -509,21 +550,21 @@ class TestEstimateLevels:
 
     def test_sigma_estimates_sample_noise(self):
         series = make_preamble_series(OOK, r=8.0, offset=0, noise=0.01, seed=2)
-        sync = SyncResult(offset=0, frames_per_symbol=8.0)
+        sync = SyncResult(offset=0, frames_per_symbol=8.0, n_samples=len(series))
         levels = estimate_levels(series, sync, OOK)
         assert levels.sigma == pytest.approx(0.01, rel=0.5)
 
     def test_interpolates_intermediate_levels(self):
         qask = ModulationParams(m=4)
         series = make_preamble_series(qask, r=6.0, offset=0, high=0.9, low=0.3)
-        sync = SyncResult(offset=0, frames_per_symbol=6.0)
+        sync = SyncResult(offset=0, frames_per_symbol=6.0, n_samples=len(series))
         levels = estimate_levels(series, sync, qask)
         assert np.allclose(levels.level_means, [0.3, 0.5, 0.7, 0.9])
         assert np.allclose(levels.thresholds, [0.4, 0.6, 0.8])
 
     def test_flat_signal_is_degenerate(self):
         series = SymbolSeries(np.full(120, 0.5), sample_rate=30.0)
-        sync = SyncResult(offset=0, frames_per_symbol=6.0)
+        sync = SyncResult(offset=0, frames_per_symbol=6.0, n_samples=len(series))
         with pytest.raises(DegenerateLevelsError):
             estimate_levels(series, sync, OOK)
 
@@ -534,7 +575,7 @@ class TestDecideSymbols:
         sent = [0, 3, 1, 2, 3, 0, 2, 1]
         values = np.repeat([0.2 + 0.2 * s for s in sent], 4)
         series = SymbolSeries(values, sample_rate=30.0)
-        sync = SyncResult(offset=0, frames_per_symbol=4.0)
+        sync = SyncResult(offset=0, frames_per_symbol=4.0, n_samples=len(series))
         levels = LevelEstimate(mu0=0.2, mu1=0.8, sigma=0.0,
                                level_means=np.array([0.2, 0.4, 0.6, 0.8]),
                                thresholds=np.array([0.3, 0.5, 0.7]))
@@ -543,7 +584,7 @@ class TestDecideSymbols:
     def test_tie_on_threshold_goes_high(self):
         values = np.array([0.5, 0.5, 0.49, 0.49, 0.51, 0.51])
         series = SymbolSeries(values, sample_rate=30.0)
-        sync = SyncResult(offset=0, frames_per_symbol=2.0)
+        sync = SyncResult(offset=0, frames_per_symbol=2.0, n_samples=len(series))
         levels = LevelEstimate(mu0=0.0, mu1=1.0, sigma=0.0,
                                level_means=np.array([0.0, 1.0]),
                                thresholds=np.array([0.5]))
@@ -560,7 +601,7 @@ class TestDecideSymbols:
                                level_means=level_means,
                                thresholds=(level_means[:-1] + level_means[1:]) / 2)
         series = SymbolSeries(np.array(samples), sample_rate=30.0)
-        sync = SyncResult(offset=0, frames_per_symbol=1.0)
+        sync = SyncResult(offset=0, frames_per_symbol=1.0, n_samples=len(series))
         got = decide_symbols(series, sync, levels, qask)
         expected = [nearest_level_index(v, level_means) for v in samples]
         assert got.tolist() == expected
@@ -711,6 +752,62 @@ class TestDecodeSeries:
                 assert got == expected, field.name
 
 
+@pytest.fixture
+def window_builds(monkeypatch):
+    """The SyncResults whose window table is built, one entry per build."""
+    builds = []
+    build = SyncResult.__dict__["windows"].func
+
+    def counted(sync):
+        builds.append(sync)
+        return build(sync)
+
+    spy = functools.cached_property(counted)
+    spy.__set_name__(SyncResult, "windows")
+    monkeypatch.setattr(SyncResult, "windows", spy)
+    return builds
+
+
+class TestReceivePath:
+    """The stages called in turn, as the benchmark's receiver calls them."""
+
+    @pytest.mark.parametrize("m, camera_fps, homography, region", [
+        (4, 30.0, WARP, (8, 6, 48, 36)),
+        (8, Fraction(30000, 1001), None, None),
+    ], ids=["warped_region", "ntsc"])
+    def test_stages_in_turn_are_decode_series_with_one_table(self, window_builds, m,
+                                                             camera_fps, homography,
+                                                             region):
+        params = ModulationParams(m=m, symbol_duration_frames=5, depth=0.09)
+        payload = as_bits("110100111000101101011001")
+        carrier = make_carrier("gradient", 64, 48, frames_needed(payload.size, params))
+        channel = ChannelParams(noise_sigma=0.002, camera_fps=camera_fps, rng_seed=9,
+                                affine=identity_homography() if homography is None
+                                else homography)
+        captured = transmit(encode_stream(payload, carrier, params), params.frame_rate,
+                            channel)
+        series = extract_signal(captured, homography=homography, region=region,
+                                channel=params.channel, sample_rate=camera_fps)
+        whole = decode_series(series, params, camera_fps, reference_payload=payload)
+        assert whole.crc_ok and window_builds == [whole.sync]
+
+        sync = synchronize(series, params, camera_fps)
+        levels = estimate_levels(series, sync, params)
+        symbols = decide_symbols(series, sync, levels, params)
+        got, crc_ok = deframe(symbols_to_bits(symbols, params), params)
+        assert symbols.dtype == whole.symbols.dtype
+        assert np.array_equal(symbols, whole.symbols)
+        assert np.array_equal(got, whole.payload) and crc_ok == whole.crc_ok
+        assert window_builds == [whole.sync, sync]
+
+        # A sweep row decodes once and predicts pe_theory from the same table.
+        del window_builds[:]
+        result = distance_sweep([1.0, 1.2, 1.5], payload, carrier, params, channel,
+                                region=region)
+        assert all(row.error is None for row in result.rows)
+        assert len(window_builds) == len(result.rows)
+
+
 @pytest.mark.parametrize("frames_per_symbol", [3, 5, 6])
 @pytest.mark.parametrize("camera_fps", [30000 / 1001, 31.0, 24.0, 12.0, 45.0])
 def test_round_trip_across_camera_rates(camera_fps, frames_per_symbol):
@@ -789,23 +886,21 @@ class TestWholeTraceReceiver:
     @settings(max_examples=100, deadline=None)
     @given(r=RATES, offset=st.integers(-30, 60), n_samples=st.integers(0, 400))
     def test_central_windows_match_reference(self, r, offset, n_samples):
-        sync = SyncResult(offset=offset, frames_per_symbol=r)
-        for n_symbols in (None, 16):
-            start, stop = central_windows(sync, n_samples, n_symbols)
-            for j in range(start.size):
-                assert np.array_equal(np.arange(start[j], stop[j]),
-                                      central_window_reference(offset, r, j, n_samples))
-        # By default the table runs through the first symbol that starts past
-        # the end of the trace.
-        start, stop = central_windows(sync, n_samples)
+        start, stop = SyncResult(offset=offset, frames_per_symbol=r,
+                                 n_samples=n_samples).windows
+        for j in range(start.size):
+            assert np.array_equal(np.arange(start[j], stop[j]),
+                                  central_window_reference(offset, r, j, n_samples))
+        # The table runs through the first symbol that starts past the end of
+        # the trace.
         assert stop[-1] == start[-1]
         assert central_window_reference(offset, r, start.size, n_samples).size == 0
 
     @settings(max_examples=100, deadline=None)
     @given(r=EXACT_RATES, offset=st.integers(-30, 60), n_samples=st.integers(0, 400))
     def test_central_windows_are_exact(self, r, offset, n_samples):
-        start, stop = central_windows(SyncResult(offset=offset, frames_per_symbol=r),
-                                      n_samples)
+        start, stop = SyncResult(offset=offset, frames_per_symbol=r,
+                                 n_samples=n_samples).windows
         n_symbols = max(0, math.ceil((n_samples - offset) / Fraction(r))) + 1
         assert start.size == n_symbols
         for j in range(n_symbols):
@@ -828,7 +923,7 @@ class TestWholeTraceReceiver:
         r, lead_in, series = link
         qask = ModulationParams(m=4)
         values = series.values
-        sync = SyncResult(offset=lead_in, frames_per_symbol=r)
+        sync = SyncResult(offset=lead_in, frames_per_symbol=r, n_samples=len(series))
         windows = [central_window_reference(lead_in, r, j, values.size)
                    for j in range(16)]
         if any(w.size == 0 for w in windows):
@@ -914,3 +1009,49 @@ class TestWholeTraceReceiver:
             tracemalloc.stop()
         assert sync.offset == 100
         assert peak < 8e6
+
+
+# Camera rates against the 30-fps display: NTSC and film as exact Fractions and
+# as the floats they round to, which convert exactly and so carry denominators
+# near 2**52 (the Python-integer path of the window bounds).
+TIMELINE_CAMERA_RATES = st.sampled_from([Fraction(30000, 1001), 30000 / 1001,
+                                         Fraction(24000, 1001), 24000 / 1001,
+                                         Fraction(24), Fraction(45)])
+
+
+class TestSymbolTimelineOracle:
+    """decode_series and the sweep's prediction against the earlier receiver,
+    which rebuilt each stage's windows in Fraction arithmetic (reference.py)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(camera_fps=TIMELINE_CAMERA_RATES, frames=st.integers(1, 20),
+           m=st.sampled_from([2, 4, 8]), bits=st.lists(st.integers(0, 1), max_size=24),
+           lead_in=st.integers(0, 40), tail=st.integers(-20, 30),
+           noise=st.floats(0.0, 0.05), seed=st.integers(0, 2**32 - 1))
+    def test_decode_series_matches_the_per_stage_oracle(self, camera_fps, frames, m,
+                                                        bits, lead_in, tail, noise, seed):
+        params = ModulationParams(m=m, symbol_duration_frames=frames)
+        r = received_frames_per_symbol(params, camera_fps)
+        payload = as_bits(np.array(bits, dtype=np.uint8))
+        framed = bits_to_symbols(frame_payload(payload, params), params)
+        values = link_trace(float(r), lead_in, framed[16:], m, tail, noise, seed).values
+        series = SymbolSeries(values, camera_fps)
+        try:
+            expected = decode_series_reference(series, params, camera_fps, payload)
+        except (SyncError, DegenerateLevelsError, FramingError) as exc:
+            with pytest.raises(type(exc)):
+                decode_series(series, params, camera_fps, reference_payload=payload)
+            return
+        got = decode_series(series, params, camera_fps, reference_payload=payload)
+        assert got.sync.offset == expected.sync.offset
+        assert got.sync.frames_per_symbol == expected.sync.frames_per_symbol
+        for name in ("mu0", "mu1", "sigma"):
+            assert getattr(got.levels, name) == getattr(expected.levels, name), name
+        for name in ("level_means", "thresholds"):
+            assert np.array_equal(getattr(got.levels, name), getattr(expected.levels, name))
+        for name in ("symbols", "payload"):
+            assert getattr(got, name).dtype == getattr(expected, name).dtype
+            assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+        assert got.crc_ok == expected.crc_ok
+        assert got.ber_vs_reference == expected.ber_vs_reference
+        assert _decision_error_estimate(got) == expected.pe_theory
