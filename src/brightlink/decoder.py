@@ -14,6 +14,7 @@ from .core import (
     Color,
     ModulationParams,
     SymbolSeries,
+    as_bits,
     as_int,
     as_rate,
     check_pixels,
@@ -137,9 +138,9 @@ def _rectify_weights(pull: bytes, height: int, width: int,
 
 
 def extract_block_frames(height: int, width: int) -> int:
-    """Frames per block in which extract_signal reduces a clip, counted from its
-    first frame: a quarter million pixels bound the float copy on long clips. A
-    sample depends on its block's rows in the last bit (see StagedSignal)."""
+    """Frames per stage of StagedSignal, counted from a stream's first frame: a
+    quarter million pixels bound the float copy. A sample depends on its stage's
+    rows in the last bit, so stages fall on the same frames in any grouping."""
     return max(1, (1 << 18) // (height * width))
 
 
@@ -153,51 +154,35 @@ def extract_signal(frames: np.ndarray, homography: np.ndarray | None = None,
     when given, each capture is rectified back into display coordinates before
     measuring (a rectified pixel at display position p is pulled from sensor
     position H p). region is an (x, y, w, h) crop in the rectified frame; by
-    default the whole frame is averaged. A uint8 sample is the weighted sum of
-    the raw pixel values, divided by 255 once. The weight image is built once
-    per homography, frame size and region, and kept (8 bytes per sensor pixel)
-    until a call with another homography, frame size or region builds the next.
+    default the whole frame is averaged. The checked clip's colour plane is
+    one block of a StagedSignal, so any stream of it gives these samples.
     """
-    planes = validate_frames(frames)[..., int(channel)]
-    weights = _bound_weights(planes.shape[1:], homography, region)
-    step = extract_block_frames(*planes.shape[1:])
-    return SymbolSeries(np.concatenate([_block_samples(planes[k:k + step], weights)
-                                        for k in range(0, len(planes), step)]), sample_rate)
-
-
-def _bound_weights(size: tuple[int, int], homography, region) -> np.ndarray:
-    """The kept weight image for (h, w) frames, once region and homography pass."""
-    height, width = size
-    x, y, w, h = ((0, 0, width, height) if region is None
-                  else (as_int(v, "region value") for v in region))
-    if w < 1 or h < 1:
-        raise ValueError(f"region must have positive size, got {region}")
-    if x < 0 or y < 0 or y + h > height or x + w > width:
-        raise ValueError(f"region {region} falls outside frames of shape "
-                         f"{(height, width)}")
-    pull = identity_homography() if homography is None else check_homography(homography)
-    return _rectify_weights(pull.tobytes(), height, width, (x, y, w, h))
+    signal = StagedSignal(homography, region, sample_rate)
+    signal._reduce(validate_frames(frames)[..., int(channel)])
+    return signal.series()
 
 
 def _block_samples(planes: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Each plane's weighted sum; a uint8 one, of raw values, divided by 255 once."""
-    samples = planes.astype(np.float64, copy=False).reshape(-1, weights.size) @ weights
+    """Each plane's weighted sum, by BLAS on contiguous float64; uint8 raw, then / 255 once."""
+    samples = np.ascontiguousarray(planes, np.float64).reshape(-1, weights.size) @ weights
     return samples / 255.0 if planes.dtype == np.uint8 else samples
 
 
 class StagedSignal:
-    """One colour plane of a capture stream reduced to samples as it arrives.
+    """One colour plane of a capture stream reduced to samples as it arrives:
+    the receiver's one reducer, which extract_signal feeds in one block.
 
     add takes the plane's captures in order, in (n, h, w) blocks of any size,
     and refuses values as validate_frames does. The first fixes the frame size
-    and dtype and binds the weight image (a bad region or homography fails
-    there). Each block is copied into a stage of extract_block_frames captures,
-    reduced whenever it fills (a uint8 sample is divided by 255 once), so
-    series() of uint8 or float32 captures is extract_signal's, bit for bit.
+    and dtype and binds the kept weight image (a bad region or homography fails
+    there). A whole stage of extract_block_frames captures is reduced where it
+    lies when none is part filled, the rest through a copy: series() is the
+    same in any grouping, bit for bit, for every dtype.
     """
 
     def __init__(self, homography=None, region=None, sample_rate=Fraction(1)):
-        self.homography, self.region, self.sample_rate = homography, region, sample_rate
+        self.homography = identity_homography() if homography is None else homography
+        self.region, self.sample_rate = region, as_rate(sample_rate, "sample_rate")
         self.stage, self.weights, self.filled, self.values = None, None, 0, []
 
     def add(self, planes: np.ndarray) -> None:
@@ -209,26 +194,39 @@ class StagedSignal:
                              f"and dtype, got {arr.shape} {arr.dtype}")
         if 0 in arr.shape[1:]:
             raise ValueError(f"frames must be at least 1x1, got {arr.shape}")
-        check_pixels(arr)
+        self._reduce(check_pixels(arr))
+
+    def _reduce(self, arr: np.ndarray) -> None:
+        """add, once arr's shape and pixels are checked."""
         if self.stage is None:
-            self.weights = _bound_weights(arr.shape[1:], self.homography, self.region)
-            self.stage = np.empty((extract_block_frames(*arr.shape[1:]), *arr.shape[1:]),
+            _, height, width = arr.shape
+            x, y, w, h = ((0, 0, width, height) if self.region is None
+                          else (as_int(v, "region value") for v in self.region))
+            if w < 1 or h < 1:
+                raise ValueError(f"region must have positive size, got {self.region}")
+            if x < 0 or y < 0 or y + h > height or x + w > width:
+                raise ValueError(f"region {self.region} falls outside frames of shape "
+                                 f"{(height, width)}")
+            pull = check_homography(self.homography)
+            self.weights = _rectify_weights(pull.tobytes(), height, width, (x, y, w, h))
+            self.stage = np.empty((extract_block_frames(height, width), height, width),
                                   arr.dtype)
         while len(arr):
             take = min(len(self.stage) - self.filled, len(arr))
-            self.stage[self.filled:self.filled + take] = arr[:take]
-            self.filled, arr = self.filled + take, arr[take:]
+            block, arr = arr[:take], arr[take:]
+            if take < len(self.stage):  # else a whole stage, reduced where it lies
+                self.stage[self.filled:self.filled + take] = block
+                block = self.stage
+            self.filled += take
             if self.filled == len(self.stage):
-                self._reduce_stage()
-
-    def _reduce_stage(self) -> None:
-        self.values.append(_block_samples(self.stage[:self.filled], self.weights))
-        self.filled = 0
+                self.values.append(_block_samples(block, self.weights))
+                self.filled = 0
 
     def series(self) -> SymbolSeries:
         """The samples of the whole stream, once every capture has been added."""
         if self.filled:
-            self._reduce_stage()
+            self.values.append(_block_samples(self.stage[:self.filled], self.weights))
+            self.filled = 0
         if not self.values:
             raise ValueError("frame sequence must contain at least one frame")
         return SymbolSeries(np.concatenate(self.values), self.sample_rate)
@@ -385,8 +383,7 @@ def deframe(bits: np.ndarray, params: ModulationParams) -> tuple[np.ndarray, boo
 
 def bit_error_rate(decoded: np.ndarray, reference: np.ndarray) -> float:
     """Fraction of differing bits; length mismatches count as errors."""
-    decoded = np.asarray(decoded, dtype=np.uint8)
-    reference = np.asarray(reference, dtype=np.uint8)
+    decoded, reference = as_bits(decoded), as_bits(reference)
     n = max(decoded.size, reference.size)
     if n == 0:
         return 0.0

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from brightlink import core as core_module
 from brightlink import decoder as decoder_module
 from brightlink.channel import (
     ChannelGeometry,
@@ -147,17 +148,47 @@ class TestExtractSignal:
 
     @pytest.mark.parametrize("dtype, warped, digest", [
         (np.float32, True, "1865f69947039ae85fa587728cad40f0b202d28914c307aed3121176b4955d7c"),
-        (np.float64, False, "fa8f8832f77ed71d489040bb26e7da813011f866916f187df1b5d8079914934f"),
+        (np.float64, False, "806d50793bc6075f0e76a1c89925447cd052c8ea66dac83669f243035e6edf19"),
     ], ids=["float32_warped", "float64"])
     def test_float_clips_keep_their_bytes(self, dtype, warped, digest):
         # 16-bit captures arrive as float32. Recorded while uint8 pixels were
         # divided by 255 one at a time; float pixels are never divided, so
-        # their samples keep these bytes. The clip spans two blocks.
+        # their samples keep these bytes. The clip spans two blocks. float64
+        # was recorded again once its blocks, too, were reduced from a
+        # contiguous copy by BLAS, as StagedSignal reduces them in any grouping;
+        # before, a strided float64 view went through numpy's own loop.
         frames = np.random.default_rng(17).random((360, 24, 32, 3), dtype=dtype)
         kwargs = (dict(homography=TestRectifyCache.A, region=(3, 2, 25, 19),
                        channel=Color.GREEN) if warped else {})
         values = extract_signal(frames, **kwargs).values
         assert hashlib.sha256(values.tobytes()).hexdigest() == digest
+
+    def test_a_float_clip_has_its_pixels_checked_once(self, monkeypatch):
+        checked = []
+        check_pixels = core_module.check_pixels
+
+        def counting_check(arr):
+            checked.append(arr.size)
+            return check_pixels(arr)
+
+        monkeypatch.setattr(core_module, "check_pixels", counting_check)
+        monkeypatch.setattr(decoder_module, "check_pixels", counting_check)
+        frames = np.random.default_rng(8).random((360, 24, 32, 3), dtype=np.float32)
+        assert len(frames) > extract_block_frames(24, 32)
+        extract_signal(frames, homography=TestRectifyCache.A, region=(3, 2, 25, 19))
+        assert checked == [frames.size]
+
+    @pytest.mark.parametrize("rate", [0, -30, math.inf, math.nan, "30", None])
+    def test_a_bad_sample_rate_fails_before_any_frame_is_reduced(self, rate, monkeypatch):
+        reduced = []
+        monkeypatch.setattr(decoder_module, "_block_samples",
+                            lambda *args: reduced.append(args))
+        frames = np.random.default_rng(9).integers(0, 256, (40, 12, 16, 3), dtype=np.uint8)
+        with pytest.raises(ValueError, match="^sample_rate must be positive and finite"):
+            extract_signal(frames, sample_rate=rate)
+        with pytest.raises(ValueError, match="^sample_rate must be positive and finite"):
+            StagedSignal(sample_rate=rate)
+        assert reduced == []
 
 
 class TestRectifyCache:
@@ -241,7 +272,8 @@ class TestRectifyCache:
 class TestExtractMatchesExactMeans:
     """A uint8 sample is the weighted sum of the raw pixel values divided by 255
     once, not a sum of pixels divided one at a time; both give the exact mean
-    of the rectified region up to float64 rounding."""
+    of the rectified region up to float64 rounding. StagedSignal, in any
+    grouping, gives extract_signal's samples bit for bit for every dtype."""
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -275,14 +307,7 @@ class TestExtractMatchesExactMeans:
         edges = [0, *sorted(sizes), len(frames)]
         for start, stop in zip(edges[:-1], edges[1:]):
             signal.add(frames[start:stop, :, :, color])
-        staged = signal.series().values
-        if dtype is np.float64:
-            # extract_signal reduces a float64 clip's strided planes where they
-            # lie, by numpy's own loop; a stage is contiguous and goes to BLAS,
-            # which sums in another order.
-            np.testing.assert_allclose(staged, values, rtol=1e-13, atol=0.0)
-        else:
-            assert staged.tobytes() == values.tobytes()
+        assert signal.series().values.tobytes() == values.tobytes()
         if dtype is np.uint8:
             np.testing.assert_allclose(extract(frames / 255.0), values, rtol=1e-13, atol=0.0)
 
@@ -302,8 +327,9 @@ class TestStagedSignal:
                                    | st.integers(1, 2 * step + 1), min_size=1, max_size=5))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         shape = (sum(sizes), height, width, 3)
-        frames = (rng.random(shape, dtype=np.float32) if data.draw(st.booleans())
-                  else rng.integers(0, 256, shape, dtype=np.uint8))
+        dtype = data.draw(st.sampled_from([np.uint8, np.float32, np.float64]))
+        frames = (rng.integers(0, 256, shape, dtype=np.uint8) if dtype is np.uint8
+                  else rng.random(shape, dtype=dtype))
         x, y = data.draw(st.integers(0, width - 1)), data.draw(st.integers(0, height - 1))
         region = data.draw(st.none() | st.tuples(st.just(x), st.just(y),
                                                  st.integers(1, width - x),
@@ -651,6 +677,16 @@ def test_bit_error_rate():
     assert bit_error_rate(as_bits(""), as_bits("")) == 0.0
     # Missing bits count as errors against the longer stream.
     assert bit_error_rate(as_bits("10"), as_bits("1010")) == 0.5
+    # Both sides read bit strings and lists as every payload argument does.
+    assert bit_error_rate("1110", [1, 0, 1, 0]) == 0.25
+
+
+@pytest.mark.parametrize("bad", [[1, -1, 0], [0, 2], [0.5, 1], "10x1", [[0, 1]]])
+def test_bit_error_rate_refuses_what_is_not_bits(bad):
+    # A -1 once wrapped to 255 and counted as one differing bit.
+    for decoded, reference in ((bad, "101"), ("101", bad)):
+        with pytest.raises(ValueError, match="bit"):
+            bit_error_rate(decoded, reference)
 
 
 class TestDecodeFrames:
@@ -665,6 +701,11 @@ class TestDecodeFrames:
         assert np.array_equal(report.payload, payload)
         assert report.ber_vs_reference == 0.0
         assert report.sync.offset == 0
+        # A reference payload reads bit strings and lists as a sent payload does.
+        for reference, ber in (("1010 1010 1010 1010", 0.0), ("1010101010101011", 1 / 16),
+                               (list(payload[:8]), 0.5)):
+            again = decode_frames(captured, params, 30.0, reference_payload=reference)
+            assert again.ber_vs_reference == ber
 
     def test_four_level_round_trip_with_rotation(self):
         payload = as_bits("011011100001")

@@ -138,6 +138,13 @@ def test_frames_needed_counts_the_framed_message():
     assert frames_needed(0, OOK) == 80 * 6
 
 
+@pytest.mark.parametrize("count", [-1, -100, 16.0, True, "16", None])
+def test_frames_needed_refuses_a_count_that_is_not_a_natural_number(count):
+    with pytest.raises(ValueError, match="^payload_bit_count must "):
+        frames_needed(count, OOK)
+    assert frames_needed(np.int64(16), OOK) == frames_needed(16, OOK)
+
+
 class TestEncodeStream:
     def test_demo_payload_fills_576_frames(self):
         carrier = make_carrier("gray128", 16, 12, 576)
