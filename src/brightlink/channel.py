@@ -219,8 +219,9 @@ def _block_warps(warp: sparse.csr_array, counts: set[int]) -> dict[int, sparse.c
     """For each frame count n in counts, n copies of warp down a block diagonal.
 
     Applied to n frames as stored, one pixel per row, it warps each frame on
-    its own. The largest is built once, with int32 indices as a block holds
-    about 2^16 values; the others are views of its leading rows.
+    its own. A clip's blocks give at most two frame counts, the full blocks'
+    and the last block's. The larger is built once, with int32 indices as a
+    block of frames holds at most 2^16 values; the other views its leading rows.
     """
     n_pix, nnz = warp.shape[0], warp.nnz
     most = max(counts)
@@ -242,9 +243,9 @@ class _Plan(NamedTuple):
 
     source: np.ndarray      # the checked display clip, (n, w, h, 3) if stored by column
     shown: np.ndarray       # the display frame each capture shows
-    bounds: list[int]       # block edges: block i holds captures bounds[i]..bounds[i+1]
+    bounds: list[int]       # block i: captures bounds[i]..bounds[i+1], of whole frames
     # The kept warp of the clip's homography, frame size and layout, on a block
-    # diagonal, by the number of frames a block shows (see _block_warps).
+    # diagonal, by the frame counts of the full and the last block (_block_warps).
     warps: dict[int, sparse.csr_array]
     size: tuple[int, int]   # the frames' (height, width)
 
@@ -265,22 +266,19 @@ def _plan(frames: np.ndarray, display_fps: Fraction, params: ChannelParams,
     n_out = max(1, round(n_in / ratio))
     p, q = ratio.numerator, ratio.denominator
     shown = np.minimum(floor_progression(n_out, p, 2 * p, 2 * q), n_in - 1)
-    # Blocks of about 2^16 values bound the float copies on long clips; a block
-    # ends with the last capture of a display frame, so each is warped once.
-    step = max(1, (1 << 16) // (3 * height * width))
-    bounds = [0]
-    while bounds[-1] < n_out:
-        last_shown = shown[min(bounds[-1] + step, n_out) - 1]
-        bounds.append(int(np.searchsorted(shown, last_shown, side="right")))
-    # Every block starts on a new display frame, so the captures that show one
-    # count the frames a block shows.
-    counts = np.add.reduceat(np.diff(shown, prepend=-1) != 0, bounds[:-1])
+    # A block is every capture of per_block shown frames, each warped once. A
+    # frame shows in at most ceil(1 / ratio) captures, so a block's float copies
+    # hold at most 2^16 values, or one frame's captures when those are more.
+    per_block = max(1, (1 << 16) // (3 * height * width * math.ceil(1 / ratio)))
+    firsts = np.flatnonzero(np.diff(shown, prepend=-1))  # each shown frame's first capture
+    bounds = np.append(firsts[::per_block], n_out).tolist()
     # A clip stored column by column is read in its own memory order, so no
     # frame is transposed: the warp numbers its source pixels the same way.
     by_column = abs(source.strides[2]) > abs(source.strides[1])
     warp = _warp_operator(params.affine.tobytes(), height, width, by_column)
     return _Plan(source.transpose(0, 2, 1, 3) if by_column else source, shown, bounds,
-                 _block_warps(warp, set(counts.tolist())), (height, width))
+                 _block_warps(warp, {min(per_block, len(firsts)),
+                                     (len(firsts) - 1) % per_block + 1}), (height, width))
 
 
 def _walk(plan: _Plan, blocks: Iterator[tuple[int, int]], gains: list[float],
@@ -292,8 +290,9 @@ def _walk(plan: _Plan, blocks: Iterator[tuple[int, int]], gains: list[float],
     capture index and its captures, quantized: (n, h, w, 3), or (n, h, w) of
     colour plane `plane` alone. Each shown frame is converted and warped once
     and each capture's noise drawn once, at (h, w, 3), whatever the number of
-    gains; a gain only scales the warped frames before the draws are added.
-    One gain's floats are held at a time, and freed before the next block.
+    gains. A gain scales the warped frames gathered by capture, or, if it is
+    the last and no frame repeats, the warped frames themselves; the draws are
+    then added. One gain's floats are held at a time, freed before the next block.
     """
     planes = (slice(None),) if plane is None else (plane,)
     # Capture k reads the stream of key (seed, k) from its start, as a fresh
@@ -322,12 +321,9 @@ def _walk(plan: _Plan, blocks: Iterator[tuple[int, int]], gains: list[float],
             # and it cannot reach observed, which is never -0.0.
             noise *= params.noise_sigma
             noise = noise[(...,) + planes]
-        repeated = len(shown) < end - start
         for i, gain in enumerate(gains):
-            if repeated:  # some display frame is shown by more than one capture
-                observed = warped[capture_of]
-            else:  # the last gain scales the warped frames themselves
-                observed = warped if i == len(gains) - 1 else warped.copy()
+            observed = (warped if i == len(gains) - 1 and len(shown) == end - start
+                        else warped[capture_of])
             observed *= gain
             if noise is not None:
                 observed += noise
@@ -345,7 +341,7 @@ def transmit(frames: np.ndarray, display_fps: Fraction, params: ChannelParams,
     scaled by the normalized geometric gain, plus white Gaussian noise keyed
     by (seed, capture index), quantized to the sensor bit depth. The warp, one
     sparse operator kept after the call (see _warp_operator), is applied to
-    blocks of captures that end on display-frame boundaries, so each shown
+    blocks, each every capture of a run of whole display frames, so each shown
     frame is warped once. With frames of 2^16 values or more, one thread per
     CPU takes the blocks one at a time.
 

@@ -79,8 +79,8 @@ def _int_to_bits(value: int, width: int) -> np.ndarray:
 
 def frames_needed(payload_bit_count: int, params: ModulationParams) -> int:
     """Display frames required to carry a framed payload of the given size."""
-    if as_int(payload_bit_count, "payload_bit_count") < 0:
-        raise ValueError(f"payload_bit_count must not be negative, got {payload_bit_count}")
+    if not 0 <= as_int(payload_bit_count, "payload_bit_count") <= MAX_PAYLOAD_BITS:
+        raise ValueError(f"payload_bit_count must be in [0, 2**32), got {payload_bit_count}")
     total_bits = PREAMBLE_SYMBOLS * params.bits_per_symbol + LENGTH_BITS \
         + payload_bit_count + CRC_BITS
     n_symbols = -(-total_bits // params.bits_per_symbol)

@@ -13,6 +13,9 @@ quantizes with quantize_reference.
 distance_sweep_reference is the earlier sweep, one transmit and one
 decode_frames per distance, kept to check the single pass over the clip that
 replaced it.
+block_bounds_reference is the earlier layout of the channel's capture blocks,
+kept to check the runs of whole display frames that replaced it on the
+benchmark's frame sizes and rates.
 decode_series_reference is the earlier receiver, which rebuilt each stage's
 central windows in Fraction arithmetic, kept stage by stage to check the one
 integer symbol timeline that replaced it; it reuses the package's trace
@@ -337,6 +340,23 @@ def transmit_reference(frames: np.ndarray, display_fps, params) -> np.ndarray:
             observed = observed + noise
         captured.append(quantize_reference(observed, params.quantizer_bits))
     return np.stack(captured)
+
+
+def block_bounds_reference(shown, height: int, width: int) -> list[int]:
+    """Block edges of a capture walk, one block at a time, as the channel laid
+    them out before its blocks became runs of whole display frames.
+
+    From a block's first capture, the block takes about 2^16 values of
+    captures, then runs on to the last capture of the display frame its last
+    one shows; shown is the display frame of each capture, in order.
+    """
+    shown = np.asarray(shown)
+    step = max(1, (1 << 16) // (3 * height * width))
+    bounds = [0]
+    while bounds[-1] < len(shown):
+        last_shown = shown[min(bounds[-1] + step, len(shown)) - 1]
+        bounds.append(int(np.searchsorted(shown, last_shown, side="right")))
+    return bounds
 
 
 def distance_sweep_reference(distances, payload_bits, carrier, modulation, channel,

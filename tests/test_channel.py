@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brightlink import channel as channel_module
@@ -28,6 +28,7 @@ from brightlink.decoder import extract_signal
 from brightlink.encoder import make_carrier
 from reference import (
     bilinear_pull_reference,
+    block_bounds_reference,
     capture_count_reference,
     near_integer,
     shown_frame_reference,
@@ -633,6 +634,52 @@ class TestBlockWalk:
         built.clear()
         assert len(transmit(np.concatenate([self.CLIP, self.CLIP[:80]]), 30.0, params)) == 400
         assert len(built) <= short_call
+
+
+def flat_clip(n_in, height, width):
+    """n_in black frames that share one pixel in memory: a layout costs no pixels."""
+    return np.broadcast_to(np.zeros((1, 1, 1, 3), dtype=np.uint8), (n_in, height, width, 3))
+
+
+# Every rate from 15 to 240 fps, the NTSC ones too.
+LAYOUT_RATES = st.one_of(st.sampled_from([Fraction(30000, 1001), Fraction(24000, 1001),
+                                          Fraction(60000, 1001)]),
+                         st.fractions(15, 240, max_denominator=1001))
+
+
+class TestBlockLayout:
+    """transmit's blocks are every capture of a run of whole display frames."""
+
+    # The frame size and the display and camera rates of each benchmark link:
+    # warp_hd, long_payload, the four camera rates of cli_batch, and sweep.
+    @pytest.mark.parametrize("height, width, camera_fps",
+                             [(240, 320, 30), (12, 16, 30), (24, 32, 30), (24, 32, 60),
+                              (24, 32, 24), (24, 32, Fraction(30000, 1001)), (48, 64, 30)])
+    def test_benchmark_links_keep_the_earlier_blocks(self, height, width, camera_fps):
+        params = ChannelParams(camera_fps=camera_fps)
+        # Every clip length up to 400 frames, and long_payload's 12,768 frames.
+        for n_in in [*range(1, 401), 12_768]:
+            plan = channel_module._plan(flat_clip(n_in, height, width), 30, params, None)
+            assert plan.bounds == block_bounds_reference(plan.shown, height, width), n_in
+
+    @settings(max_examples=150, deadline=None)
+    @given(display=LAYOUT_RATES, camera=LAYOUT_RATES, n_in=st.integers(1, 800),
+           height=st.integers(1, 240), width=st.integers(1, 320))
+    # The earlier layout put 32 captures, 73,728 values, in each block here.
+    @example(display=30, camera=240, n_in=120, height=24, width=32)
+    def test_blocks_are_runs_of_whole_frames_of_at_most_2_16_values(
+            self, display, camera, n_in, height, width):
+        plan = channel_module._plan(flat_clip(n_in, height, width), display,
+                                    ChannelParams(camera_fps=camera), None)
+        shown, bounds = plan.shown, plan.bounds
+        assert bounds[0] == 0 and bounds[-1] == len(shown)
+        assert all(start < end for start, end in zip(bounds[:-1], bounds[1:]))
+        for start, end in zip(bounds[:-1], bounds[1:]):
+            # A block starts with a display frame's first capture.
+            assert start == 0 or shown[start] != shown[start - 1]
+            frames = len(np.unique(shown[start:end]))
+            assert (end - start) * 3 * height * width <= 1 << 16 or frames == 1
+            assert plan.warps[frames].shape == (frames * height * width,) * 2
 
 
 class TestWarpCache:

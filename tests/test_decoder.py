@@ -1096,3 +1096,63 @@ class TestSymbolTimelineOracle:
         assert got.crc_ok == expected.crc_ok
         assert got.ber_vs_reference == expected.ber_vs_reference
         assert _decision_error_estimate(got) == expected.pe_theory
+
+
+class TestNoFalseAccept:
+    """A trace that holds no intact message never decodes with crc_ok = true.
+
+    Each trace ends in SyncError, DegenerateLevelsError or FramingError, or
+    decodes with crc_ok = false. Any fallback the receiver tries after the
+    nominal decode must keep this, on the same traces."""
+
+    SEEDS = range(200)
+
+    @staticmethod
+    def outcome(series, params, camera_fps):
+        """The error type a decode raises, or its crc_ok."""
+        try:
+            return decode_series(series, params, camera_fps).crc_ok
+        except (SyncError, DegenerateLevelsError, FramingError) as exc:
+            return type(exc)
+
+    @pytest.mark.parametrize("camera_fps", [30, 24])
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    def test_carrier_only_traces(self, m, camera_fps):
+        params = ModulationParams(m=m)
+        r = float(received_frames_per_symbol(params, camera_fps))
+        # A lead-in of minus the whole preamble, less one sample, leaves every
+        # sample after the last symbol: the bottom level, which is the bare
+        # carrier, plus noise, for tail - 1 samples.
+        lead_in = -math.ceil(16 * r) - 1
+        outcomes = []
+        for seed in self.SEEDS:
+            rng = np.random.default_rng(seed)
+            series = link_trace(r, lead_in, np.zeros(0, dtype=int), m,
+                                tail=int(rng.integers(2, 601)),
+                                noise=float(rng.uniform(0.0, 0.05)), seed=seed)
+            outcomes.append(self.outcome(SymbolSeries(series.values, camera_fps), params,
+                                         camera_fps))
+        assert True not in outcomes
+
+    @pytest.mark.parametrize("camera_fps", [30, 24])
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    def test_valid_header_with_random_payload_and_crc(self, m, camera_fps):
+        params = ModulationParams(m=m)
+        r = float(received_frames_per_symbol(params, camera_fps))
+        outcomes = []
+        for seed in self.SEEDS:
+            rng = np.random.default_rng(seed)
+            length = int(rng.integers(0, 65))
+            # The preamble and the 32-bit length field of a length-bit payload,
+            # then length + 32 random bits in place of the payload and its CRC.
+            framed = frame_payload(np.zeros(length, dtype=np.uint8), params)
+            framed[-length - 32:] = rng.integers(0, 2, length + 32)
+            symbols = bits_to_symbols(framed, params)[16:]
+            series = link_trace(r, int(rng.integers(0, 40)), symbols, m,
+                                tail=int(rng.integers(-10, 30)),
+                                noise=float(rng.uniform(0.0, 0.02)), seed=seed)
+            outcomes.append(self.outcome(SymbolSeries(series.values, camera_fps), params,
+                                         camera_fps))
+        assert True not in outcomes
+        # Most traces reach the CRC check, so the test checks the CRC itself.
+        assert outcomes.count(False) > len(outcomes) // 2

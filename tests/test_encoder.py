@@ -10,6 +10,7 @@ from brightlink.encoder import (
     BUILTIN_CARRIERS,
     CRC_BITS,
     LENGTH_BITS,
+    MAX_PAYLOAD_BITS,
     PREAMBLE_SYMBOLS,
     CarrierTooShortError,
     bits_to_bytes,
@@ -136,9 +137,11 @@ def test_frames_needed_counts_the_framed_message():
     assert frames_needed(16, OOK) == 576
     assert frames_needed(16, QASK) == (32 + 32 + 16 + 32) // 2 * 6 == 336
     assert frames_needed(0, OOK) == 80 * 6
+    # The largest payload the 32-bit length field declares.
+    assert frames_needed(MAX_PAYLOAD_BITS, OOK) == (80 + MAX_PAYLOAD_BITS) * 6
 
 
-@pytest.mark.parametrize("count", [-1, -100, 16.0, True, "16", None])
+@pytest.mark.parametrize("count", [-1, -100, 16.0, True, "16", None, 2**32])
 def test_frames_needed_refuses_a_count_that_is_not_a_natural_number(count):
     with pytest.raises(ValueError, match="^payload_bit_count must "):
         frames_needed(count, OOK)
