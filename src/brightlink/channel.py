@@ -21,11 +21,6 @@ from .core import (Color, as_int, as_rate, as_seed, floor_progression, quantize_
 # CPUs this process may run on: the most threads one transmit call uses.
 _CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
           else os.cpu_count() or 1)
-# Values per capture from which transmit uses threads: a block is then one
-# display frame's captures, and each draw, which runs without the GIL, outlasts
-# its Python work about 200 times. Smaller captures also ran faster in threads,
-# but the gain swung with the host's load from one run to the next.
-_SPLIT_MIN_VALUES = 1 << 16
 
 
 def identity_homography() -> np.ndarray:
@@ -81,15 +76,19 @@ def normalized_gain(geometry: ChannelGeometry) -> float:
 
     The reference keeps pixel amplitudes in a usable range: a head-on capture
     at one meter reproduces the display values, and everything else scales by
-    cos(phi) * cos(theta) / d^2. A gain that is no finite float is a ValueError.
+    cos(phi) * cos(theta) / d^2. A gain that is no finite float is a ValueError
+    naming the areas, if their product leaves the positive floats, else d.
     """
-    reference = replace(geometry, distance_m=1.0, phi_rad=0.0, theta_rad=0.0)
+    reference = geometric_gain(replace(geometry, distance_m=1.0, phi_rad=0.0, theta_rad=0.0))
     try:
-        gain = geometric_gain(geometry) / geometric_gain(reference)
-    except ArithmeticError:  # d^2 underflows to zero or overflows
+        gain = geometric_gain(geometry) / reference
+    except ArithmeticError:  # d^2 or the areas' product underflows to zero, or d^2 overflows
         gain = math.nan
     if not math.isfinite(gain):
-        raise ValueError(f"distance {geometry.distance_m} m gives no finite gain")
+        culprit = (f"distance {geometry.distance_m} m gives" if 0.0 < reference < math.inf
+                   else f"display_area_m2 {geometry.display_area_m2} and aperture_area_m2 "
+                        f"{geometry.aperture_area_m2} give")
+        raise ValueError(f"{culprit} no finite gain")
     return gain
 
 
@@ -133,8 +132,9 @@ def check_homography(matrix, name: str = "homography") -> np.ndarray:
     arr = np.asarray(matrix, dtype=np.float64)
     if arr.shape != (3, 3):
         raise ValueError(f"{name} must be a 3x3 matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)) or abs(np.linalg.det(arr)) < 1e-12:
-        raise ValueError(f"{name} must be finite and not singular")
+    with np.errstate(all="ignore"):  # a determinant past the float range is inf
+        if not (np.all(np.isfinite(arr)) and abs(np.linalg.det(arr)) >= 1e-12):
+            raise ValueError(f"{name} must be finite and not singular")
     return arr
 
 
@@ -145,25 +145,25 @@ def resampling_map(pull: np.ndarray, height: int,
     Output pixel (x, y) reads the source at pull @ (x, y, 1). Returns flat
     source indices and weights, both of shape (4, height * width), one row per
     bilinear corner; corners outside the source get weight 0, so pixels pulled
-    from outside read as black.
+    from outside read as black. A pull that sends a pixel past the float range
+    is a ValueError.
     """
     n_pix = height * width
     dest = np.empty((height, width, 3))
     dest[..., 0] = np.arange(width)
     dest[..., 1] = np.arange(height)[:, None]
     dest[..., 2] = 1.0
-    projected = dest.reshape(n_pix, 3) @ pull.T
-    w = projected[:, 2]
-    if np.any(np.abs(w) < 1e-12):
-        raise ValueError("homography maps a pixel to infinity")
-    sx = projected[:, 0] / w
-    sy = projected[:, 1] / w
-    x0 = np.floor(sx)
-    y0 = np.floor(sy)
-    fx = sx - x0
-    fy = sy - y0
-    x0 = x0.astype(np.int64)
-    y0 = y0.astype(np.int64)
+    with np.errstate(all="ignore"):  # coordinates past the float range are refused below
+        projected = dest.reshape(n_pix, 3) @ pull.T
+        w = projected[:, 2:]
+        if np.any(np.abs(w) < 1e-12):
+            raise ValueError("homography maps a pixel to infinity")
+        source = projected[:, :2] / w
+    if not np.all(np.isfinite(source)):
+        raise ValueError("homography maps a pixel past the float range")
+    # Far outside the frame a pixel reads black wherever it lies: clip it to fit the int cast.
+    corner = np.floor(np.clip(source, -2, (width, height), out=source))
+    (fx, fy), (x0, y0) = (source - corner).T, corner.astype(np.int64).T
 
     # Corner k sits dx = k % 2 columns right and dy = k // 2 rows down of
     # (x0, y0); it is in range when its column and its row are.
@@ -342,8 +342,8 @@ def transmit(frames: np.ndarray, display_fps: Fraction, params: ChannelParams,
     by (seed, capture index), quantized to the sensor bit depth. The warp, one
     sparse operator kept after the call (see _warp_operator), is applied to
     blocks, each every capture of a run of whole display frames, so each shown
-    frame is warped once. With frames of 2^16 values or more, one thread per
-    CPU takes the blocks one at a time.
+    frame is warped once. One thread per CPU, and no more threads than blocks,
+    takes the blocks one at a time, whatever the frame size.
 
     Passing symbol_rate enables the sampling guard: the camera must run at
     twice the symbol rate or faster, otherwise captures can miss symbols
@@ -351,8 +351,7 @@ def transmit(frames: np.ndarray, display_fps: Fraction, params: ChannelParams,
     """
     gain = normalized_gain(params.geometry)
     plan = _plan(frames, display_fps, params, symbol_rate)
-    height, width = plan.size
-    captured = np.empty((len(plan.shown), height, width, 3),
+    captured = np.empty((len(plan.shown), *plan.size, 3),
                         dtype=np.uint8 if params.quantizer_bits == 8 else np.float32)
     blocks = iter(zip(plan.bounds[:-1], plan.bounds[1:]))
     claim = threading.Lock()
@@ -367,10 +366,8 @@ def transmit(frames: np.ndarray, display_fps: Fraction, params: ChannelParams,
         for start, captures in _walk(plan, iter(claim_next, None), [gain], params):
             captured[start:start + len(captures)] = captures
 
-    # One thread per core and no more threads than blocks. The draws and the
-    # warp run without the GIL; the bytes do not depend on the thread count.
-    n_threads = (min(_CORES, len(plan.bounds) - 1)
-                 if 3 * height * width >= _SPLIT_MIN_VALUES else 1)
+    # The draws and the warp run without the GIL; the bytes do not depend on the thread count.
+    n_threads = min(_CORES, len(plan.bounds) - 1)
     if n_threads == 1:
         walk()
         return captured

@@ -59,6 +59,8 @@ class SyncResult:
             object.__setattr__(self, name, check(getattr(self, name), name))
         if self.n_samples < 0:
             raise ValueError(f"n_samples must not be negative, got {self.n_samples}")
+        if not 0 <= self.offset <= self.n_samples:
+            raise ValueError(f"offset {self.offset} falls outside [0, {self.n_samples}]")
 
     @functools.cached_property
     def windows(self) -> np.ndarray:
@@ -72,13 +74,13 @@ class SyncResult:
         every stage slices it."""
         o, n = self.offset, self.n_samples
         p, q = self.frames_per_symbol.numerator, self.frames_per_symbol.denominator
-        count = max(0, -((o - n) * q // p)) + 1
+        count = -((o - n) * q // p) + 1
         # Symbol k's central samples lie in o + (k + [1/4, 3/4]) p / q; ceil(x) = -floor(-x).
         start, stop = (-floor_progression(count, -(4 * o * q + j * p), -4 * p, 4 * q)
                        for j in (1, 3))
         # An empty window, start == stop, falls back to stop - 1: the center lies
         # strictly between the two bounds, so that is the sample nearest it.
-        table = np.clip([np.minimum(start, stop - 1), stop], 0, n)
+        table = np.minimum([np.minimum(start, stop - 1), stop], n)
         table.flags.writeable = False
         return table
 
@@ -158,7 +160,7 @@ def extract_signal(frames: np.ndarray, homography: np.ndarray | None = None,
     one block of a StagedSignal, so any stream of it gives these samples.
     """
     signal = StagedSignal(homography, region, sample_rate)
-    signal._reduce(validate_frames(frames)[..., int(channel)])
+    signal._reduce(validate_frames(frames)[..., int(channel)], whole=True)
     return signal.series()
 
 
@@ -196,8 +198,8 @@ class StagedSignal:
             raise ValueError(f"frames must be at least 1x1, got {arr.shape}")
         self._reduce(check_pixels(arr))
 
-    def _reduce(self, arr: np.ndarray) -> None:
-        """add, once arr's shape and pixels are checked."""
+    def _reduce(self, arr: np.ndarray, whole: bool = False) -> None:
+        """add, once arr's shape and pixels are checked; whole says arr is the stream."""
         if self.stage is None:
             _, height, width = arr.shape
             x, y, w, h = ((0, 0, width, height) if self.region is None
@@ -214,11 +216,11 @@ class StagedSignal:
         while len(arr):
             take = min(len(self.stage) - self.filled, len(arr))
             block, arr = arr[:take], arr[take:]
-            if take < len(self.stage):  # else a whole stage, reduced where it lies
+            if take < len(self.stage) and not whole:  # else reduced where it lies
                 self.stage[self.filled:self.filled + take] = block
                 block = self.stage
             self.filled += take
-            if self.filled == len(self.stage):
+            if self.filled == len(self.stage) or whole:
                 self.values.append(_block_samples(block, self.weights))
                 self.filled = 0
 

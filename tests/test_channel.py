@@ -20,6 +20,7 @@ from brightlink.channel import (
     geometric_gain,
     identity_homography,
     normalized_gain,
+    resampling_map,
     transmit,
     transmit_gains,
 )
@@ -79,6 +80,14 @@ class TestGeometry:
         geometry = ChannelGeometry(distance_m=3.0, phi_rad=0.3, theta_rad=0.7)
         expected = math.cos(0.3) * math.cos(0.7) / 9.0
         assert normalized_gain(geometry) == pytest.approx(expected, rel=1e-12)
+
+    def test_a_gain_that_is_not_finite_names_its_input(self):
+        with pytest.raises(ValueError, match=r"^display_area_m2 1e\+308 and "
+                                             r"aperture_area_m2 1e\+308 give no finite"):
+            normalized_gain(ChannelGeometry(display_area_m2=1e308, aperture_area_m2=1e308))
+        # d^2 underflows to zero.
+        with pytest.raises(ValueError, match=r"^distance 1e-160 m gives no finite gain"):
+            normalized_gain(ChannelGeometry(distance_m=1e-160))
 
     def test_point_formula_matches_surface_integration(self):
         # Far-field spot check; the broad randomized comparison lives in the
@@ -312,6 +321,25 @@ class TestTransmit:
         expected = bilinear_pull_reference(frames[0] / 255.0, np.linalg.inv(affine))
         assert np.abs(out - expected).max() <= 0.5 / 65535 + 1e-9
 
+    def test_affines_that_reach_past_the_frame_warp_quietly(self):
+        # The determinant of diag(1e300, 1e300, 1) overflows, and its pull sends
+        # every pixel but the first far outside the frame, where it reads black.
+        # Tier-1's filterwarnings = error makes any numpy warning a failure.
+        far = np.diag([1e300, 1e300, 1.0])
+        frames = np.random.default_rng(8).integers(0, 256, (2, 12, 16, 3), dtype=np.uint8)
+        # The forward warp pulls every pixel from within 1e-297 of the first.
+        out = transmit(frames, 30.0, ChannelParams(affine=far))
+        assert np.array_equal(out, np.broadcast_to(frames[:, :1, :1], frames.shape))
+        values = extract_signal(frames, homography=far).values
+        np.testing.assert_allclose(values, frames[:, 0, 0, 0] / 255.0 / 192, rtol=1e-15)
+        _, weight = resampling_map(far, 12, 16)
+        assert np.array_equal(weight.any(axis=0), np.arange(192) == 0)
+
+    def test_a_pull_past_the_float_range_is_refused(self):
+        frames = np.zeros((1, 12, 16, 3), dtype=np.uint8)
+        with pytest.raises(ValueError, match="maps a pixel past the float range"):
+            extract_signal(frames, homography=np.diag([1e308, 1e308, 1.0]))
+
 
 def numbered_clip(n):
     """n one-pixel display frames; frame i holds i in red (low byte) and green."""
@@ -467,10 +495,8 @@ def reference_digest(clip, scaled, camera_fps, matrix, bits, noise, seed):
 
 class TestBlockWalk:
     """transmit walks the clip in blocks of captures, which threads on separate
-    cores take one at a time; the per-capture loop it replaced
-    (tests/reference.py) must give the same bytes at any thread count. The
-    tests that force a thread count lower the frame size from which transmit
-    uses threads, so that the small clips below run in threads."""
+    cores take one at a time whatever the frame size; the per-capture loop it
+    replaced (tests/reference.py) must give the same bytes at any thread count."""
 
     # 120 display frames of 24x32 at 24-60 fps give 96-240 captures: 4 to 9
     # blocks of 28 captures (2^16 values). 8 workers outnumber the blocks at 24 fps.
@@ -483,7 +509,6 @@ class TestBlockWalk:
     @pytest.mark.parametrize("bits", [8, 16])
     def test_matches_per_capture_loop(self, monkeypatch, camera_fps, workers, matrix, bits):
         monkeypatch.setattr(channel_module, "_CORES", workers)
-        monkeypatch.setattr(channel_module, "_SPLIT_MIN_VALUES", 0)
         # The largest 64-bit seed checks the rekeyed stream's uint64 key.
         for noise, seed in ((0.0, 17), (0.01, 17), (0.01, 2**64 - 1)):
             for scaled in (False, True):
@@ -526,13 +551,14 @@ class TestBlockWalk:
             return to_unit(pixels)
 
         monkeypatch.setattr(channel_module, "_CORES", workers)
-        monkeypatch.setattr(channel_module, "_SPLIT_MIN_VALUES", 0)
         monkeypatch.setattr(channel_module, "to_unit", counting_to_unit)
         assert transmit(frames, 30.0, params).tobytes() == expected.tobytes()
         # The camera outruns the 30 fps display, so every display frame is shown.
         assert sum(converted) == len(frames)
 
-    def test_small_frames_and_one_block_calls_start_no_threads(self, monkeypatch):
+    @staticmethod
+    def count_executors(monkeypatch):
+        """Force 8 cores and record the workers of each executor transmit opens."""
         opened = []
 
         def counting_executor(max_workers):
@@ -541,28 +567,60 @@ class TestBlockWalk:
 
         monkeypatch.setattr(channel_module, "_CORES", 8)
         monkeypatch.setattr(channel_module, "ThreadPoolExecutor", counting_executor)
+        return opened
+
+    def test_one_block_calls_start_no_threads(self, monkeypatch):
+        opened = self.count_executors(monkeypatch)
         params = ChannelParams(noise_sigma=0.01, camera_fps=24.0, rng_seed=5)
-        # 16x12 and 24x32 frames hold 576 and 2304 values, under the 2^16 from
-        # which transmit uses threads; 96 captures of 24x32 are 4 blocks.
-        small = make_carrier("gradient", 16, 12, 300)
-        for clip in (small, self.CLIP):
+        # One capture of 160x140 is one block, and so are the 80 captures of
+        # 100 frames of 16x12: a block holds 113 frames of 576 values.
+        for clip in (self.LARGE[:1], make_carrier("gradient", 16, 12, 100)):
             assert transmit(clip, 30.0, params).tobytes() == \
                 transmit_reference(clip, 30.0, params).tobytes()
-        # One capture of 160x140 is one block.
-        assert transmit(self.LARGE[:1], 30.0, params).tobytes() == \
-            transmit_reference(self.LARGE[:1], 30.0, params).tobytes()
         assert opened == []
-        # 4 captures of 160x140 at the display's 24 fps are 4 blocks: 4 threads,
-        # of which the caller is one.
+
+    def test_small_frames_start_a_thread_per_block_up_to_the_cores(self, monkeypatch):
+        opened = self.count_executors(monkeypatch)
+        params = ChannelParams(noise_sigma=0.01, camera_fps=24.0, rng_seed=5)
+        # The 240 captures of 300 frames of 16x12 are 3 blocks, and the 96
+        # captures of CLIP 4: min(8, blocks) threads, of which the caller is one.
+        for clip in (make_carrier("gradient", 16, 12, 300), self.CLIP):
+            assert transmit(clip, 30.0, params).tobytes() == \
+                transmit_reference(clip, 30.0, params).tobytes()
+        assert opened == [2, 3]
+        # 4 captures of 160x140 at the display's 24 fps are 4 blocks.
         transmit(self.LARGE, 24.0, params)
-        assert opened == [3]
+        assert opened == [2, 3, 3]
+
+    # The frame size, rate and depth of each small benchmark link: long_payload,
+    # the four camera rates of cli_batch, and sweep's 16-bit link. Each clip
+    # is several blocks, so every forced thread count shares it out.
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    @pytest.mark.parametrize("height, width, camera_fps, bits, n_in, matrix", [
+        (12, 16, 30, 8, 400, "identity"),
+        (24, 32, 30, 8, 120, "perspective"),
+        (24, 32, 60, 8, 120, "perspective"),
+        (24, 32, 24, 8, 120, "perspective"),
+        (24, 32, Fraction(30000, 1001), 8, 120, "perspective"),
+        (48, 64, 30, 16, 40, "perspective"),
+    ])
+    def test_small_benchmark_links_match_per_capture_loop(
+            self, monkeypatch, workers, height, width, camera_fps, bits, n_in, matrix):
+        monkeypatch.setattr(channel_module, "_CORES", workers)
+        clip = np.random.default_rng(23).integers(0, 256, (n_in, height, width, 3),
+                                                  dtype=np.uint8)
+        params = ChannelParams(noise_sigma=0.005, camera_fps=camera_fps,
+                               affine=BLOCK_WALK_MATRICES[matrix], quantizer_bits=bits,
+                               rng_seed=2**63 + 7)
+        assert len(channel_module._plan(clip, 30, params, None).bounds) - 1 >= 3
+        assert transmit(clip, 30, params).tobytes() == \
+            transmit_reference(clip, 30, params).tobytes()
 
     def test_spans_hold_under_rapid_thread_switches(self, monkeypatch):
         # Threads share the output array, the warp and the blocks left to take;
         # switching threads every microsecond must not let one thread's writes
         # or draws reach another's blocks, nor two threads take one block.
         monkeypatch.setattr(channel_module, "_CORES", 8)
-        monkeypatch.setattr(channel_module, "_SPLIT_MIN_VALUES", 0)
         params = ChannelParams(noise_sigma=0.01, camera_fps=45.0, rng_seed=3,
                                affine=BLOCK_WALK_MATRICES["perspective"])
         expected = transmit_reference(self.CLIP, 30.0, params)
@@ -581,7 +639,6 @@ class TestBlockWalk:
             return quantize_unit(frames, bits)
 
         monkeypatch.setattr(channel_module, "_CORES", 2)
-        monkeypatch.setattr(channel_module, "_SPLIT_MIN_VALUES", 0)
         monkeypatch.setattr(channel_module, "quantize_unit", failing_off_the_calling_thread)
         with pytest.raises(RuntimeError, match="worker failed"):
             transmit(self.CLIP, 30.0, ChannelParams())
@@ -591,7 +648,6 @@ class TestBlockWalk:
         # every other block; a split fixed in advance would leave the worker
         # its share and fail after the 10-s wait.
         monkeypatch.setattr(channel_module, "_CORES", 2)
-        monkeypatch.setattr(channel_module, "_SPLIT_MIN_VALUES", 0)
         params = ChannelParams(noise_sigma=0.01, camera_fps=30.0, rng_seed=4)
         caller_blocks = []
         others_done = threading.Event()
@@ -615,7 +671,6 @@ class TestBlockWalk:
         # Two threads, whatever the host: a generator per capture would build
         # 40 for the short call and 400 for the long one.
         monkeypatch.setattr(channel_module, "_CORES", 2)
-        monkeypatch.setattr(channel_module, "_SPLIT_MIN_VALUES", 0)
         params = ChannelParams(noise_sigma=0.01, camera_fps=60.0, rng_seed=9)
         expected = transmit_reference(self.CLIP[:20], 30.0, params)
         philox = np.random.Philox

@@ -280,6 +280,31 @@ class TestErrorPaths:
                      "--csv", str(tmp_path / "s.csv")])
         assert code == EXIT_SYNC
 
+    def test_areas_that_give_no_finite_gain_are_named(self, tmp_path, capsys):
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(DEMO_CFG + "channel.display_area_m2 = 1e308\n"
+                                  "channel.aperture_area_m2 = 1e308\n")
+        tx = tmp_path / "tx.bfrs"
+        assert main(["encode", "--config", str(cfg), "--payload-bits", PAYLOAD,
+                     "--out", str(tx)]) == EXIT_OK
+        capsys.readouterr()
+        code = main(["channel", "--config", str(cfg), "--in", str(tx),
+                     "--out", str(tmp_path / "rx.bfrs")])
+        assert code == EXIT_PIPELINE
+        assert capsys.readouterr().err == ("error: display_area_m2 1e+308 and "
+                                           "aperture_area_m2 1e+308 give no finite gain\n")
+
+    def test_an_affine_past_the_float_range_fails_quietly(self, tmp_path, capsys):
+        # Its determinant overflows, and rectifying through it pulls every pixel
+        # but the first from far outside the frame: no numpy warning may reach
+        # stderr, only the decode's own message, with a documented exit code.
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text(DEMO_CFG + "channel.affine = 1e300 0 0 0 1e300 0 0 0 1\n")
+        code, *_ = run_link(tmp_path, cfg)
+        assert code == EXIT_SYNC
+        assert capsys.readouterr().err == ("error: best preamble correlation 0.224 "
+                                           "below 0.5; no transmission found\n")
+
     def test_sampling_guard_maps_to_pipeline_error(self, tmp_path):
         cfg = tmp_path / "slow.cfg"
         cfg.write_text(DEMO_CFG.replace("channel.camera_fps = 30",

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from brightlink import core as core_module
@@ -316,6 +316,29 @@ class TestStagedSignal:
     """The streaming reducer of one colour plane gives extract_signal's samples
     bit for bit, however its captures are grouped."""
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    def test_extract_signal_reduces_the_clip_where_it_lies(self, monkeypatch, dtype):
+        # Two whole stages and half of one: each is reduced straight from the
+        # caller's clip, the remainder too, never copied into the stage first.
+        step = extract_block_frames(16, 24)
+        rng = np.random.default_rng(7)
+        frames = rng.integers(0, 256, (2 * step + step // 2, 16, 24, 3), dtype=np.uint8)
+        if dtype is np.float64:
+            frames = frames / 255.0
+        signal = StagedSignal(TestRectifyCache.A)
+        signal.add(frames[..., Color.GREEN])
+        block_samples = decoder_module._block_samples
+        from_clip = []
+
+        def spying_block_samples(planes, weights):
+            from_clip.append(np.shares_memory(planes, frames))
+            return block_samples(planes, weights)
+
+        monkeypatch.setattr(decoder_module, "_block_samples", spying_block_samples)
+        values = extract_signal(frames, TestRectifyCache.A, channel=Color.GREEN).values
+        assert from_clip == [True, True, True]
+        assert values.tobytes() == signal.series().values.tobytes()
+
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
     def test_any_grouping_matches_extract_signal(self, data):
@@ -543,6 +566,11 @@ class TestSyncResult:
     def test_a_negative_length_is_refused(self):
         with pytest.raises(ValueError, match="n_samples must not be negative"):
             SyncResult(offset=0, frames_per_symbol=6, n_samples=-1)
+
+    @pytest.mark.parametrize("offset", [2**63, -2**63, -1, 121])
+    def test_an_offset_outside_the_trace_is_refused(self, offset):
+        with pytest.raises(ValueError, match=rf"offset {offset} falls outside \[0, 120\]"):
+            SyncResult(offset=offset, frames_per_symbol=6, n_samples=120)
 
     def test_the_window_table_is_built_once_and_read_only(self):
         sync = SyncResult(offset=3, frames_per_symbol=Fraction(30000, 1001), n_samples=200)
@@ -925,8 +953,9 @@ class TestWholeTraceReceiver:
     """The whole-trace receiver against per-symbol and per-window oracles."""
 
     @settings(max_examples=100, deadline=None)
-    @given(r=RATES, offset=st.integers(-30, 60), n_samples=st.integers(0, 400))
+    @given(r=RATES, offset=st.integers(0, 60), n_samples=st.integers(0, 400))
     def test_central_windows_match_reference(self, r, offset, n_samples):
+        assume(offset <= n_samples)
         start, stop = SyncResult(offset=offset, frames_per_symbol=r,
                                  n_samples=n_samples).windows
         for j in range(start.size):
@@ -938,8 +967,9 @@ class TestWholeTraceReceiver:
         assert central_window_reference(offset, r, start.size, n_samples).size == 0
 
     @settings(max_examples=100, deadline=None)
-    @given(r=EXACT_RATES, offset=st.integers(-30, 60), n_samples=st.integers(0, 400))
+    @given(r=EXACT_RATES, offset=st.integers(0, 60), n_samples=st.integers(0, 400))
     def test_central_windows_are_exact(self, r, offset, n_samples):
+        assume(offset <= n_samples)
         start, stop = SyncResult(offset=offset, frames_per_symbol=r,
                                  n_samples=n_samples).windows
         n_symbols = max(0, math.ceil((n_samples - offset) / Fraction(r))) + 1
@@ -964,6 +994,10 @@ class TestWholeTraceReceiver:
         r, lead_in, series = link
         qask = ModulationParams(m=4)
         values = series.values
+        if lead_in > len(series):  # a trace cut inside its lead-in
+            with pytest.raises(ValueError, match=f"offset {lead_in} falls outside"):
+                SyncResult(offset=lead_in, frames_per_symbol=r, n_samples=len(series))
+            return
         sync = SyncResult(offset=lead_in, frames_per_symbol=r, n_samples=len(series))
         windows = [central_window_reference(lead_in, r, j, values.size)
                    for j in range(16)]

@@ -62,9 +62,8 @@ def test_the_layouts_hold_the_same_values_in_different_orders():
 @pytest.mark.parametrize("camera_fps", RATES)
 def test_transmit_gives_the_same_bytes_for_every_layout(monkeypatch, camera_fps, bits,
                                                        workers):
-    # With no frame-size floor, two workers run the small clip in threads.
+    # Two workers run the clip's blocks in threads.
     monkeypatch.setattr(channel_module, "_CORES", workers)
-    monkeypatch.setattr(channel_module, "_SPLIT_MIN_VALUES", 0)
     params = ChannelParams(geometry=ChannelGeometry(distance_m=1.4), noise_sigma=0.01,
                            affine=PERSPECTIVE, camera_fps=camera_fps,
                            quantizer_bits=bits, rng_seed=2**64 - 3)
