@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import closing
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import erfc
 
 from .channel import ChannelParams, normalized_gain, transmit_gains
-from .core import ModulationParams, as_bits, as_int, as_seed
+from .core import ModulationParams, as_bits, as_int, as_seed, run_tasks
 from .decoder import StagedSignal, decode_series
 from .encoder import encode_stream
 
@@ -62,24 +63,27 @@ def monte_carlo_ber(model: BerModel, n_symbols: int, seed: int = 0) -> tuple[flo
 
     Draws n_symbols equiprobable symbols, adds cluster noise, thresholds, and
     counts errors. The halfwidth is three binomial standard errors at the
-    measured rate. Chunks are keyed (seed, chunk index), so results do not
-    depend on chunking internals or history.
+    measured rate. Chunks of _MC_CHUNK symbols, keyed (seed, chunk index),
+    run on every core (core.run_tasks) and their integer error counts add
+    up, so results depend on neither the thread count nor history.
     """
     n_symbols = as_int(n_symbols, "n_symbols")
     if n_symbols < MC_MIN_SYMBOLS:
         raise ValueError(f"n_symbols must be at least {MC_MIN_SYMBOLS} for a "
                          f"meaningful estimate, got {n_symbols}")
     seed = as_seed(seed, "seed")
-    errors = 0
     mu = np.array([model.mu0, model.mu1])
-    for chunk_index, done in enumerate(range(0, n_symbols, _MC_CHUNK)):
-        n = min(_MC_CHUNK, n_symbols - done)
-        key = np.array([seed, chunk_index], dtype=np.uint64)
+
+    def count_errors(chunk: int) -> int:
+        n = min(_MC_CHUNK, n_symbols - chunk * _MC_CHUNK)
+        key = np.array([seed, chunk], dtype=np.uint64)
         rng = np.random.Generator(np.random.Philox(key=key))
         sent = (rng.random(n) < 0.5).astype(np.int64)
         amplitude = mu[sent] + model.sigma * rng.standard_normal(n)
         decided = (amplitude >= model.threshold).astype(np.int64)
-        errors += int(np.count_nonzero(decided != sent))
+        return int(np.count_nonzero(decided != sent))
+
+    errors = sum(run_tasks(range(-(-n_symbols // _MC_CHUNK)), lambda: count_errors))
     rate = errors / n_symbols
     halfwidth = 3.0 * math.sqrt(rate * (1.0 - rate) / n_symbols)
     return rate, halfwidth
@@ -131,7 +135,9 @@ def distance_sweep(distances, payload_bits, carrier: np.ndarray,
     capture's noise drawn once, so every distance sees the same noise (common
     random numbers). Each distance's plane is reduced to samples as it arrives
     (decoder.StagedSignal), so no distance holds its captured clip; a row is
-    bit for bit what transmit and decode_frames give at that distance.
+    bit for bit what transmit and decode_frames give at that distance. The
+    pass runs on every core: transmit's threads warp and draw each block
+    while this one applies the gains and reduces (channel.transmit_gains).
     """
     dist = [float(d) for d in distances]
     if len(dist) < 3:
@@ -148,11 +154,11 @@ def distance_sweep(distances, payload_bits, carrier: np.ndarray,
     # An error here is the pass's or the region's: finite gains pass the value check.
     received = {i: StagedSignal(channel.affine, region, channel.camera_fps) for i in gains}
     try:
-        sent_blocks = transmit_gains(sent, modulation.frame_rate, channel,
-                                     list(gains.values()), modulation.channel,
-                                     symbol_rate=modulation.symbol_rate)
-        for i, block in zip(itertools.cycle(gains), sent_blocks):
-            received[i].add(block)
+        with closing(transmit_gains(sent, modulation.frame_rate, channel,
+                                    list(gains.values()), modulation.channel,
+                                    symbol_rate=modulation.symbol_rate)) as sent_blocks:
+            for i, block in zip(itertools.cycle(gains), sent_blocks):
+                received[i].add(block)
     except (ValueError, RuntimeError) as exc:
         errors.update((i, str(exc)) for i in gains)
 

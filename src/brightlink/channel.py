@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import functools
 import math
-import os
-import threading
-from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable, Iterator
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import NamedTuple
@@ -16,11 +14,7 @@ import numpy as np
 from scipy import sparse
 
 from .core import (Color, as_int, as_rate, as_seed, floor_progression, quantize_unit,
-                   to_unit, validate_frames)
-
-# CPUs this process may run on: the most threads one transmit call uses.
-_CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-          else os.cpu_count() or 1)
+                   run_tasks, to_unit, validate_frames)
 
 
 def identity_homography() -> np.ndarray:
@@ -281,18 +275,15 @@ def _plan(frames: np.ndarray, display_fps: Fraction, params: ChannelParams,
                                      (len(firsts) - 1) % per_block + 1}), (height, width))
 
 
-def _walk(plan: _Plan, blocks: Iterator[tuple[int, int]], gains: list[float],
-          params: ChannelParams, plane: int | None = None
-          ) -> Iterator[tuple[int, np.ndarray]]:
-    """Send each block of captures taken from blocks at every gain.
+def _preparer(plan: _Plan, params: ChannelParams, plane: int | None = None
+              ) -> Callable[[tuple[int, int]], tuple[np.ndarray, ...]]:
+    """One thread's function that readies a block of captures for any gain.
 
-    Yields, for each block and then for each gain in order, the block's first
-    capture index and its captures, quantized: (n, h, w, 3), or (n, h, w) of
-    colour plane `plane` alone. Each shown frame is converted and warped once
-    and each capture's noise drawn once, at (h, w, 3), whatever the number of
-    gains. A gain scales the warped frames gathered by capture, or, if it is
-    the last and no frame repeats, the warped frames themselves; the draws are
-    then added. One gain's floats are held at a time, freed before the next block.
+    From a block's capture bounds it gives the block's shown frames warped,
+    (n, h, w, 3) or (n, h, w) of colour plane `plane`, each capture's frame
+    among them, and the captures' scaled noise of that plane, or None. Each
+    shown frame is converted and warped once and each capture's noise drawn
+    once, at (h, w, 3), by the function's own generator.
     """
     planes = (slice(None),) if plane is None else (plane,)
     # Capture k reads the stream of key (seed, k) from its start, as a fresh
@@ -302,34 +293,50 @@ def _walk(plan: _Plan, blocks: Iterator[tuple[int, int]], gains: list[float],
     fresh.update(state={name: word.tolist() for name, word in fresh["state"].items()},
                  buffer=fresh["buffer"].tolist())
     key = fresh["state"]["key"]
-    for start, end in blocks:
+    # A plane's draws pass through one frame, so only that plane is kept.
+    frame = None if plane is None else np.empty(plan.size + (3,))
+
+    def prepare(block: tuple[int, int]) -> tuple[np.ndarray, ...]:
+        start, end = block
         shown, capture_of = np.unique(plan.shown[start:end], return_inverse=True)
         # The shown frames as stored: one pixel per row, one plane per column.
         pixels = plan.source[(shown, ...) + planes]
+        shape = (len(shown),) + plan.size + pixels.shape[3:]
         unit = to_unit(pixels).reshape(-1, 3 if plane is None else 1)
-        warped = (plan.warps[len(shown)] @ unit).reshape((len(shown),) + plan.size
-                                                         + pixels.shape[3:])
+        # Freed as soon as it is read, so a thread holds no more mid-block
+        # than the readied block it hands on.
+        del pixels
+        warped = (plan.warps[len(shown)] @ unit).reshape(shape)
         del unit
-        noise = None
-        if params.noise_sigma > 0.0:
-            noise = np.empty((end - start,) + plan.size + (3,))
-            for k, draw in enumerate(noise, start):
-                key[1] = k
-                philox.state = fresh
-                rng.standard_normal(out=draw)
-            # normal(0, s) would draw 0.0 + s z: only the sign of a zero differs,
-            # and it cannot reach observed, which is never -0.0.
-            noise *= params.noise_sigma
-            noise = noise[(...,) + planes]
-        for i, gain in enumerate(gains):
-            observed = (warped if i == len(gains) - 1 and len(shown) == end - start
-                        else warped[capture_of])
-            observed *= gain
-            if noise is not None:
-                observed += noise
-            yield start, quantize_unit(observed, params.quantizer_bits)
-            del observed
-        del pixels, warped, noise
+        if params.noise_sigma == 0.0:
+            return warped, capture_of, None
+        noise = np.empty((end - start,) + warped.shape[1:])
+        for k, out in enumerate(noise, start):
+            key[1] = k
+            philox.state = fresh
+            if frame is None:
+                rng.standard_normal(out=out)
+            else:
+                out[...] = rng.standard_normal(out=frame)[..., plane]
+        # normal(0, s) would draw 0.0 + s z: only the sign of a zero differs,
+        # and it cannot reach observed, which is never -0.0.
+        noise *= params.noise_sigma
+        return warped, capture_of, noise
+
+    return prepare
+
+
+def _observe(ready: tuple[np.ndarray, ...], gain: float, bits: int,
+             last: bool = True) -> np.ndarray:
+    """A readied block's captures at gain, quantized to bits: the warped frames
+    gathered by capture, or, on the last gain and if no frame repeats, the
+    warped frames themselves, scaled, plus the noise."""
+    warped, capture_of, noise = ready
+    observed = warped if last and len(warped) == len(capture_of) else warped[capture_of]
+    observed *= gain
+    if noise is not None:
+        observed += noise
+    return quantize_unit(observed, bits)
 
 
 def transmit(frames: np.ndarray, display_fps: Fraction, params: ChannelParams,
@@ -353,45 +360,34 @@ def transmit(frames: np.ndarray, display_fps: Fraction, params: ChannelParams,
     plan = _plan(frames, display_fps, params, symbol_rate)
     captured = np.empty((len(plan.shown), *plan.size, 3),
                         dtype=np.uint8 if params.quantizer_bits == 8 else np.float32)
-    blocks = iter(zip(plan.bounds[:-1], plan.bounds[1:]))
-    claim = threading.Lock()
 
-    def claim_next() -> tuple[int, int] | None:
-        # A thread takes the next block when it is free, so a thread the
-        # host stalls holds up one block, not a share of the call.
-        with claim:
-            return next(blocks, None)
-
-    def walk() -> None:
-        for start, captures in _walk(plan, iter(claim_next, None), [gain], params):
-            captured[start:start + len(captures)] = captures
+    def send(prepare: Callable, block: tuple[int, int]) -> None:
+        captured[slice(*block)] = _observe(prepare(block), gain, params.quantizer_bits)
 
     # The draws and the warp run without the GIL; the bytes do not depend on the thread count.
-    n_threads = min(_CORES, len(plan.bounds) - 1)
-    if n_threads == 1:
-        walk()
-        return captured
-    with ThreadPoolExecutor(n_threads - 1) as pool:
-        futures = [pool.submit(walk) for _ in range(n_threads - 1)]
-        walk()
-        for future in futures:
-            future.result()
+    for _ in run_tasks(list(zip(plan.bounds[:-1], plan.bounds[1:])),
+                       lambda: functools.partial(send, _preparer(plan, params))):
+        pass
     return captured
 
 
 def transmit_gains(frames: np.ndarray, display_fps: Fraction, params: ChannelParams,
                    gains: list[float], plane: Color, symbol_rate: Fraction | None = None
                    ) -> Iterator[np.ndarray]:
-    """transmit's colour plane `plane` at several gains, in one pass over the
-    clip, on the calling thread.
+    """transmit's colour plane `plane` at several gains, in one pass over the clip.
 
     Yields, block by block in capture order, the block's (n, h, w) captures at
     each gain in turn; the gains stand in for params.geometry's. Only that
     plane is warped, each shown frame once, and each capture's noise is drawn
     as in transmit once for all gains, so every gain's captures are that plane
-    of transmit's bytes at a geometry with that gain.
+    of transmit's bytes at a geometry with that gain. The blocks are warped
+    and their noise drawn on transmit's threads, at most one block per thread
+    ahead of the one yielded; the caller applies the gains. Closing the
+    generator early joins the threads before it returns.
     """
     plan = _plan(frames, display_fps, params, symbol_rate)
-    for _, captures in _walk(plan, zip(plan.bounds[:-1], plan.bounds[1:]), gains, params,
-                             int(plane)):
-        yield captures
+    with closing(run_tasks(list(zip(plan.bounds[:-1], plan.bounds[1:])),
+                           lambda: _preparer(plan, params, int(plane)), ahead=1)) as ready:
+        for block in ready:
+            for i, gain in enumerate(gains):
+                yield _observe(block, gain, params.quantizer_bits, i == len(gains) - 1)

@@ -16,7 +16,6 @@ from .analysis import (
     BerModel,
     distance_sweep,
     monte_carlo_ber,
-    q_function,
     theoretical_ber,
 )
 from .bfrs import BfrsFormatError, read_bfrs, write_bfrs

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
+import threading
+from collections.abc import Callable, Iterator, Sequence
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
@@ -13,6 +17,10 @@ import numpy as np
 # Brightness changes above this fraction are plainly visible on most panels.
 # Larger depths are refused unless the caller explicitly opts in.
 MAX_SAFE_DEPTH = 0.1
+
+# CPUs this process may run on: the most threads one run_tasks call uses.
+_CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+          else os.cpu_count() or 1)
 
 
 def as_rate(value, name: str) -> Fraction:
@@ -244,3 +252,42 @@ def quantize_unit(frames: np.ndarray, bits: int = 8) -> np.ndarray:
     if bits == 8:  # the cast truncates, which is floor on [0, 255]
         return q.astype(np.uint8)
     return (np.floor(q, out=q) / levels).astype(np.float32)
+
+
+def run_tasks(tasks: Sequence, make_work: Callable[[], Callable],
+              ahead: int | None = None) -> Iterator:
+    """Yield each task's result in order, worked out on min(_CORES, len(tasks)) threads.
+
+    Each thread makes its own work function and takes the next task when it
+    is free. The caller is one of them: while its next result is not ready, it
+    takes each task no thread has started. With ahead set, at most ahead tasks
+    per thread are taken past the result last yielded. A worker's error is
+    raised in the caller. Once the generator ends, closed or by an error, no
+    task is taken and the workers are joined. One thread opens no pool.
+    """
+    n_threads = min(_CORES, len(tasks))
+    if n_threads <= 1:
+        yield from map(make_work(), tasks)
+        return
+    local = threading.local()
+
+    def run(index: int):
+        if not hasattr(local, "work"):
+            local.work = make_work()
+        return local.work(tasks[index])
+
+    pool, futures, mine = ThreadPoolExecutor(n_threads - 1), [], {}
+    try:
+        for head in range(len(tasks)):
+            end = len(tasks) if ahead is None else head + 1 + ahead * n_threads
+            futures += [pool.submit(run, i)
+                        for i in range(head + len(futures), min(end, len(tasks)))]
+            for i, future in enumerate(futures):
+                if futures[0].done():
+                    break
+                if not future.done() and future.cancel():  # no thread started it
+                    mine[head + i] = run(head + i)
+            future = futures.pop(0)
+            yield mine.pop(head) if future.cancelled() else future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)

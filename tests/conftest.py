@@ -1,3 +1,5 @@
+import threading
+
 import pytest
 
 from brightlink.channel import _warp_operator
@@ -11,6 +13,18 @@ def fresh_operator_caches():
     that ran before it."""
     _warp_operator.cache_clear()
     _rectify_weights.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail a test that leaves a thread it started running and not a daemon: a
+    generator that threads its work must join them once closed or exhausted."""
+    before = set(threading.enumerate())
+    yield
+    left = [thread.name for thread in threading.enumerate()
+            if thread not in before and not thread.daemon]
+    if left:
+        pytest.fail(f"threads left running: {left}")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -72,6 +72,21 @@ def q_reference(x: float) -> float:
     return value
 
 
+def monte_carlo_ber_reference(mu0: float, mu1: float, sigma: float, n_symbols: int,
+                              seed: int, chunk: int) -> tuple[float, float]:
+    """The Monte Carlo loop on one thread: chunk k of `chunk` symbols draws its
+    symbols, then their noise, from a Philox keyed (seed, k), and errors add up."""
+    errors = 0
+    for k, first in enumerate(range(0, n_symbols, chunk)):
+        n = min(chunk, n_symbols - first)
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, k], dtype=np.uint64)))
+        sent = rng.random(n) < 0.5
+        amplitude = np.where(sent, mu1, mu0) + sigma * rng.standard_normal(n)
+        errors += int(np.count_nonzero((amplitude >= (mu0 + mu1) / 2.0) != sent))
+    rate = errors / n_symbols
+    return rate, 3.0 * math.sqrt(rate * (1.0 - rate) / n_symbols)
+
+
 def surface_integrated_gain(distance: float, phi: float, theta: float,
                             display_area: float, aperture_area: float,
                             n: int = 64) -> float:

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from brightlink import channel as channel_module
+from brightlink import core as core_module
 from brightlink.analysis import (
+    _MC_CHUNK,
     BerModel,
     distance_sweep,
     fit_loglog_slope,
@@ -21,7 +23,8 @@ from brightlink.channel import ChannelGeometry, ChannelParams, transmit
 from brightlink.core import Color, ModulationParams, as_bits, to_unit
 from brightlink.decoder import decode_frames, extract_block_frames
 from brightlink.encoder import encode_stream, frames_needed, make_carrier
-from reference import capture_count_reference, distance_sweep_reference, q_reference
+from reference import (capture_count_reference, distance_sweep_reference,
+                       monte_carlo_ber_reference, q_reference)
 
 # Q(2) to machine precision; the usual tabulated value is 0.0228.
 Q_AT_2 = 0.022750131948179216
@@ -147,6 +150,16 @@ class TestMonteCarloBer:
         amplitude = mu[sent] + 0.5 * rng.standard_normal(n)
         expected = np.count_nonzero((amplitude >= 0.5).astype(int) != sent) / n
         assert rate == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("n_symbols", [10_000, 4 * _MC_CHUNK, 4 * _MC_CHUNK + 1])
+    def test_same_result_on_any_number_of_threads(self, monkeypatch, n_symbols):
+        # Chunks are keyed (seed, chunk) and their integer counts summed, so
+        # neither the thread count nor the order chunks finish in shows.
+        model = BerModel(0.0, 1.0, 0.4)
+        expected = monte_carlo_ber_reference(0.0, 1.0, 0.4, n_symbols, 2**64 - 1, _MC_CHUNK)
+        for workers in (1, 2, 8):
+            monkeypatch.setattr(core_module, "_CORES", workers)
+            assert monte_carlo_ber(model, n_symbols, seed=2**64 - 1) == expected
 
 
 class TestFitLoglogSlope:
@@ -373,9 +386,10 @@ def test_a_bad_region_fails_every_row(region):
 class TestSweepWork:
     """One pass over the clip's receiver plane, whatever the number of distances."""
 
-    @pytest.mark.parametrize("n_distances", [3, 6])
-    def test_each_frame_warped_and_each_capture_drawn_once(self, monkeypatch,
-                                                           n_distances):
+    @staticmethod
+    def count_work(monkeypatch, n_distances):
+        """Run a sweep and record the frames each block converts and warps and
+        the capture each draw is keyed to, in the order they happen."""
         # At 45 fps a display frame spans 1.5 captures, and every frame is shown.
         payload, carrier, modulation, channel, region = sweep_case(32, 24, 45.0, 2, 8,
                                                                    0.003)
@@ -411,9 +425,27 @@ class TestSweepWork:
         distances = [1.0 + 0.5 * k for k in range(n_distances)]
         result = distance_sweep(distances, payload, carrier, modulation, channel)
         assert all(row.error is None for row in result.rows)
+        return converted, warped, drawn, n_frames
+
+    @pytest.mark.parametrize("n_distances", [3, 6])
+    def test_each_frame_warped_and_each_capture_drawn_once(self, monkeypatch,
+                                                           n_distances):
+        # On one thread the blocks are warped and drawn in capture order.
+        monkeypatch.setattr(core_module, "_CORES", 1)
+        converted, warped, drawn, n_frames = self.count_work(monkeypatch, n_distances)
         assert converted == warped
         assert sum(converted) == n_frames
         assert drawn == list(range(capture_count_reference(n_frames, 30, 45)))
+
+    @pytest.mark.parametrize("n_distances", [3, 6])
+    def test_threads_warp_each_frame_and_draw_each_capture_once(self, monkeypatch,
+                                                                n_distances):
+        # Two threads take the blocks in turn, so only the multisets are fixed.
+        monkeypatch.setattr(core_module, "_CORES", 2)
+        converted, warped, drawn, n_frames = self.count_work(monkeypatch, n_distances)
+        assert sorted(converted) == sorted(warped)
+        assert sum(converted) == n_frames
+        assert sorted(drawn) == list(range(capture_count_reference(n_frames, 30, 45)))
 
 
 class TestSweepMemory:

@@ -6,6 +6,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brightlink import channel as channel_module
+from brightlink import core as core_module
 from brightlink.channel import (
     ChannelGeometry,
     ChannelParams,
@@ -508,7 +510,7 @@ class TestBlockWalk:
     @pytest.mark.parametrize("matrix", list(BLOCK_WALK_MATRICES))
     @pytest.mark.parametrize("bits", [8, 16])
     def test_matches_per_capture_loop(self, monkeypatch, camera_fps, workers, matrix, bits):
-        monkeypatch.setattr(channel_module, "_CORES", workers)
+        monkeypatch.setattr(core_module, "_CORES", workers)
         # The largest 64-bit seed checks the rekeyed stream's uint64 key.
         for noise, seed in ((0.0, 17), (0.01, 17), (0.01, 2**64 - 1)):
             for scaled in (False, True):
@@ -550,7 +552,7 @@ class TestBlockWalk:
             converted.append(len(pixels))
             return to_unit(pixels)
 
-        monkeypatch.setattr(channel_module, "_CORES", workers)
+        monkeypatch.setattr(core_module, "_CORES", workers)
         monkeypatch.setattr(channel_module, "to_unit", counting_to_unit)
         assert transmit(frames, 30.0, params).tobytes() == expected.tobytes()
         # The camera outruns the 30 fps display, so every display frame is shown.
@@ -565,8 +567,8 @@ class TestBlockWalk:
             opened.append(max_workers)
             return ThreadPoolExecutor(max_workers)
 
-        monkeypatch.setattr(channel_module, "_CORES", 8)
-        monkeypatch.setattr(channel_module, "ThreadPoolExecutor", counting_executor)
+        monkeypatch.setattr(core_module, "_CORES", 8)
+        monkeypatch.setattr(core_module, "ThreadPoolExecutor", counting_executor)
         return opened
 
     def test_one_block_calls_start_no_threads(self, monkeypatch):
@@ -606,7 +608,7 @@ class TestBlockWalk:
     ])
     def test_small_benchmark_links_match_per_capture_loop(
             self, monkeypatch, workers, height, width, camera_fps, bits, n_in, matrix):
-        monkeypatch.setattr(channel_module, "_CORES", workers)
+        monkeypatch.setattr(core_module, "_CORES", workers)
         clip = np.random.default_rng(23).integers(0, 256, (n_in, height, width, 3),
                                                   dtype=np.uint8)
         params = ChannelParams(noise_sigma=0.005, camera_fps=camera_fps,
@@ -620,7 +622,7 @@ class TestBlockWalk:
         # Threads share the output array, the warp and the blocks left to take;
         # switching threads every microsecond must not let one thread's writes
         # or draws reach another's blocks, nor two threads take one block.
-        monkeypatch.setattr(channel_module, "_CORES", 8)
+        monkeypatch.setattr(core_module, "_CORES", 8)
         params = ChannelParams(noise_sigma=0.01, camera_fps=45.0, rng_seed=3,
                                affine=BLOCK_WALK_MATRICES["perspective"])
         expected = transmit_reference(self.CLIP, 30.0, params)
@@ -638,7 +640,7 @@ class TestBlockWalk:
                 raise RuntimeError("worker failed")
             return quantize_unit(frames, bits)
 
-        monkeypatch.setattr(channel_module, "_CORES", 2)
+        monkeypatch.setattr(core_module, "_CORES", 2)
         monkeypatch.setattr(channel_module, "quantize_unit", failing_off_the_calling_thread)
         with pytest.raises(RuntimeError, match="worker failed"):
             transmit(self.CLIP, 30.0, ChannelParams())
@@ -647,7 +649,7 @@ class TestBlockWalk:
         # While the worker sits on the first block it took, the caller takes
         # every other block; a split fixed in advance would leave the worker
         # its share and fail after the 10-s wait.
-        monkeypatch.setattr(channel_module, "_CORES", 2)
+        monkeypatch.setattr(core_module, "_CORES", 2)
         params = ChannelParams(noise_sigma=0.01, camera_fps=30.0, rng_seed=4)
         caller_blocks = []
         others_done = threading.Event()
@@ -670,7 +672,7 @@ class TestBlockWalk:
     def test_one_noise_generator_per_call(self, monkeypatch):
         # Two threads, whatever the host: a generator per capture would build
         # 40 for the short call and 400 for the long one.
-        monkeypatch.setattr(channel_module, "_CORES", 2)
+        monkeypatch.setattr(core_module, "_CORES", 2)
         params = ChannelParams(noise_sigma=0.01, camera_fps=60.0, rng_seed=9)
         expected = transmit_reference(self.CLIP[:20], 30.0, params)
         philox = np.random.Philox
@@ -847,7 +849,9 @@ def channel_cases(draw):
                                             (Fraction(30000, 1001), 30),
                                             (30, Fraction(30000, 1001))]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    clip = rng.integers(0, 256, (draw(st.integers(1, 9)), height, width, 3), dtype=np.uint8)
+    # A long clip of the larger frames spans several blocks, which threads share.
+    n_in = draw(st.one_of(st.integers(1, 9), st.integers(100, 160)))
+    clip = rng.integers(0, 256, (n_in, height, width, 3), dtype=np.uint8)
     if draw(st.booleans()):  # float pixels, some of them -0.0
         clip = clip / 255.0
         clip[rng.random(clip.shape) < 0.2] = -0.0
@@ -861,15 +865,68 @@ def channel_cases(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(case=channel_cases())
-def test_transmit_and_each_plane_of_transmit_gains_match_the_reference(case):
+@given(case=channel_cases(), workers=st.sampled_from([1, 2, 8]))
+def test_transmit_and_each_plane_of_transmit_gains_match_the_reference(case, workers):
     clip, display, params = case
     far = replace(params, geometry=ChannelGeometry(distance_m=1.7))
     expected = [transmit_reference(clip, display, p) for p in (params, far)]
-    assert transmit(clip, display, params).tobytes() == expected[0].tobytes()
-    for plane in Color:
-        blocks = list(transmit_gains(clip, display, params,
-                                     [1.0, normalized_gain(far.geometry)], plane))
-        for gain, reference in enumerate(expected):
-            assert np.concatenate(blocks[gain::2]).tobytes() == \
-                reference[..., plane].tobytes()
+    with mock.patch.object(core_module, "_CORES", workers):
+        assert transmit(clip, display, params).tobytes() == expected[0].tobytes()
+        for plane in Color:
+            blocks = list(transmit_gains(clip, display, params,
+                                         [1.0, normalized_gain(far.geometry)], plane))
+            for gain, reference in enumerate(expected):
+                assert np.concatenate(blocks[gain::2]).tobytes() == \
+                    reference[..., plane].tobytes()
+
+
+class TestThreadedGains:
+    """transmit_gains warps blocks and draws their noise on transmit's threads
+    and applies the gains on the caller, yielding in capture order."""
+
+    # 120 frames of 24x32: 5 blocks at 30 fps, 8 at 45 fps (TestBlockWalk.CLIP).
+    CLIP = TestBlockWalk.CLIP
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    @pytest.mark.parametrize("camera_fps, bits, noise", [(30.0, 8, 0.01), (45.0, 16, 0.01),
+                                                         (60.0, 8, 0.0)])
+    def test_each_plane_is_that_plane_of_transmit(self, monkeypatch, workers, camera_fps,
+                                                  bits, noise):
+        monkeypatch.setattr(core_module, "_CORES", workers)
+        params = ChannelParams(noise_sigma=noise, camera_fps=camera_fps, quantizer_bits=bits,
+                               affine=BLOCK_WALK_MATRICES["perspective"], rng_seed=2**64 - 9)
+        assert len(channel_module._plan(self.CLIP, 30, params, None).bounds) - 1 >= 5
+        far = replace(params, geometry=ChannelGeometry(distance_m=2.5))
+        expected = [transmit(self.CLIP, 30.0, p) for p in (params, far)]
+        assert expected[0].tobytes() == transmit_reference(self.CLIP, 30.0, params).tobytes()
+        for plane in Color:
+            blocks = list(transmit_gains(self.CLIP, 30.0, params,
+                                         [1.0, normalized_gain(far.geometry)], plane))
+            for gain, reference in enumerate(expected):
+                assert np.concatenate(blocks[gain::2]).tobytes() == \
+                    reference[..., plane].tobytes()
+
+    def test_a_worker_error_reaches_the_consumer(self, monkeypatch):
+        def failing_off_the_calling_thread(frames):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("worker failed")
+            return to_unit(frames)
+
+        monkeypatch.setattr(core_module, "_CORES", 2)
+        monkeypatch.setattr(channel_module, "to_unit", failing_off_the_calling_thread)
+        with pytest.raises(RuntimeError, match="worker failed"):
+            list(transmit_gains(self.CLIP, 30.0, ChannelParams(noise_sigma=0.01),
+                                [1.0, 0.5], Color.RED))
+
+    @pytest.mark.parametrize("workers", [2, 8])
+    def test_closing_after_the_first_block_joins_every_worker(self, monkeypatch, workers):
+        monkeypatch.setattr(core_module, "_CORES", workers)
+        params = ChannelParams(noise_sigma=0.01, camera_fps=45.0)
+        before = set(threading.enumerate())
+        sent = transmit_gains(self.CLIP, 30.0, params, [1.0, 0.5], Color.GREEN)
+        first = next(sent)
+        assert set(threading.enumerate()) - before  # the workers run ahead
+        sent.close()
+        assert not set(threading.enumerate()) - before
+        expected = transmit(self.CLIP, 30.0, params)[:len(first), ..., Color.GREEN]
+        assert first.tobytes() == expected.tobytes()

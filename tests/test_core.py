@@ -1,3 +1,6 @@
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -5,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brightlink import core as core_module
 from brightlink.core import (
     MAX_SAFE_DEPTH,
     Color,
@@ -15,6 +19,7 @@ from brightlink.core import (
     check_pixels,
     level_table,
     quantize_unit,
+    run_tasks,
     symbols_to_bits,
     to_unit,
     validate_frames,
@@ -325,3 +330,72 @@ def test_symbol_series_validation():
         SymbolSeries(np.array([0.1]), sample_rate=0.0)
     with pytest.raises(ValueError, match="one-dimensional"):
         SymbolSeries(np.zeros((2, 2)), sample_rate=1.0)
+
+
+class TestRunTasks:
+    """run_tasks yields results in task order however many threads work them."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    @pytest.mark.parametrize("ahead", [None, 1])
+    def test_each_task_once_and_results_in_order(self, monkeypatch, workers, ahead):
+        # More threads than cores, switching every microsecond: a task taken
+        # twice, or a result yielded out of turn, fails the checks.
+        monkeypatch.setattr(core_module, "_CORES", workers)
+        made, ran = [], []
+
+        def make_work():
+            made.append(threading.get_ident())
+
+            def work(task):
+                ran.append(task)
+                return task, float(np.sum(np.full(1000, task)))
+            return work
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            found = list(run_tasks(range(300), make_work, ahead))
+        finally:
+            sys.setswitchinterval(interval)
+        assert found == [(task, 1000.0 * task) for task in range(300)]
+        assert sorted(ran) == list(range(300))
+        # Each thread makes its work function once.
+        assert len(made) == len(set(made)) <= workers
+
+    def test_no_task_is_taken_ahead_per_thread_past_the_one_yielded(self, monkeypatch):
+        monkeypatch.setattr(core_module, "_CORES", 3)
+        taken = []
+
+        def work(task):
+            taken.append(task)
+            time.sleep(0.001)
+            return task
+
+        reach = []
+        for head in run_tasks(range(30), lambda: work, ahead=1):
+            time.sleep(0.005)  # a slow consumer lets the workers run ahead
+            reach.append(max(taken) - head)
+        assert max(reach) == 3
+
+    def test_a_worker_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(core_module, "_CORES", 2)
+
+        def work(task):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("worker failed")
+            time.sleep(0.001)
+            return task
+
+        with pytest.raises(RuntimeError, match="worker failed"):
+            list(run_tasks(range(20), lambda: work))
+
+    def test_one_task_runs_on_the_caller(self, monkeypatch):
+        monkeypatch.setattr(core_module, "_CORES", 8)
+        threads = []
+
+        def work(task):
+            threads.append(threading.current_thread())
+            return task
+
+        assert list(run_tasks([7], lambda: work)) == [7]
+        assert threads == [threading.main_thread()]

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from brightlink import channel as channel_module
+from brightlink import core as core_module
 from brightlink.analysis import distance_sweep
 from brightlink.channel import ChannelGeometry, ChannelParams, transmit, transmit_gains
 from brightlink.core import Color, ModulationParams, as_bits
@@ -63,7 +64,7 @@ def test_the_layouts_hold_the_same_values_in_different_orders():
 def test_transmit_gives_the_same_bytes_for_every_layout(monkeypatch, camera_fps, bits,
                                                        workers):
     # Two workers run the clip's blocks in threads.
-    monkeypatch.setattr(channel_module, "_CORES", workers)
+    monkeypatch.setattr(core_module, "_CORES", workers)
     params = ChannelParams(geometry=ChannelGeometry(distance_m=1.4), noise_sigma=0.01,
                            affine=PERSPECTIVE, camera_fps=camera_fps,
                            quantizer_bits=bits, rng_seed=2**64 - 3)
