@@ -6,7 +6,7 @@ import functools
 import math
 from collections.abc import Callable, Iterator
 from contextlib import closing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -60,9 +60,7 @@ def geometric_gain(geometry: ChannelGeometry) -> float:
     the distance is large against both apertures.
     """
     g = geometry
-    return (g.display_area_m2 * g.aperture_area_m2
-            * math.cos(g.phi_rad) * math.cos(g.theta_rad)
-            / (math.pi * g.distance_m**2))
+    return g.display_area_m2 * g.aperture_area_m2 / math.pi * normalized_gain(g)
 
 
 def normalized_gain(geometry: ChannelGeometry) -> float:
@@ -70,20 +68,14 @@ def normalized_gain(geometry: ChannelGeometry) -> float:
 
     The reference keeps pixel amplitudes in a usable range: a head-on capture
     at one meter reproduces the display values, and everything else scales by
-    cos(phi) * cos(theta) / d^2. A gain that is no finite float is a ValueError
-    naming the areas, if their product leaves the positive floats, else d.
+    cos(phi) * cos(theta) / d^2, whatever the areas. A distance that gives no
+    finite gain, as when d^2 leaves the positive floats, is a ValueError.
     """
-    reference = geometric_gain(replace(geometry, distance_m=1.0, phi_rad=0.0, theta_rad=0.0))
-    try:
-        gain = geometric_gain(geometry) / reference
-    except ArithmeticError:  # d^2 or the areas' product underflows to zero, or d^2 overflows
-        gain = math.nan
-    if not math.isfinite(gain):
-        culprit = (f"distance {geometry.distance_m} m gives" if 0.0 < reference < math.inf
-                   else f"display_area_m2 {geometry.display_area_m2} and aperture_area_m2 "
-                        f"{geometry.aperture_area_m2} give")
-        raise ValueError(f"{culprit} no finite gain")
-    return gain
+    g = geometry
+    if (0.0 < (square := g.distance_m * g.distance_m) < math.inf
+            and (gain := math.cos(g.phi_rad) * math.cos(g.theta_rad) / square) < math.inf):
+        return gain
+    raise ValueError(f"distance {g.distance_m} m gives no finite gain")
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,8 @@ _CORES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 def as_rate(value, name: str) -> Fraction:
     """value as an exact positive Fraction. Floats convert exactly, so the float
     30000/1001 is not the NTSC rate Fraction(30000, 1001)."""
-    if isinstance(value, (numbers.Rational, float)) and 0 < value < math.inf:
+    if (isinstance(value, (numbers.Rational, float)) and not isinstance(value, bool)
+            and 0 < value < math.inf):
         return Fraction(int(value) if isinstance(value, numbers.Integral) else value)
     raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
@@ -39,8 +40,8 @@ def as_int(value, name: str) -> int:
 
 
 def as_seed(seed, name: str) -> int:
-    """A noise seed as a Python int; only integers in [0, 2**64) are seeds."""
-    if isinstance(seed, numbers.Integral) and 0 <= seed < 2**64:
+    """A noise seed as a Python int; only integers in [0, 2**64), not bools, are seeds."""
+    if isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and 0 <= seed < 2**64:
         return int(seed)
     raise ValueError(f"{name} must be an integer in [0, 2**64), got {seed!r}")
 

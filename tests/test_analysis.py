@@ -101,9 +101,9 @@ class TestMonteCarloBer:
         with pytest.raises(ValueError, match="seed"):
             monte_carlo_ber(model, 10_000, seed=seed)
 
-    @pytest.mark.parametrize("seed", [1.5, np.float64(1.0)])
+    @pytest.mark.parametrize("seed", [1.5, np.float64(1.0), True, False])
     def test_rejects_non_integer_seeds(self, seed):
-        # The uint64 chunk key would truncate a float seed.
+        # The uint64 chunk key would truncate a float seed; a bool is no integer.
         with pytest.raises(ValueError, match="seed must be an integer"):
             monte_carlo_ber(BerModel(0.0, 1.0, 0.25), 10_000, seed=seed)
 
@@ -349,7 +349,7 @@ class TestSweepMatchesPerDistanceLoop:
                             distance_sweep_reference([1.0, 2.0, 1e9], *args))
 
     def test_a_row_whose_gain_overflows_fails_alone(self):
-        # At 1e-160 m the gain overflows to inf, which normalized_gain refuses
+        # At 1e-160 m d^2 underflows to zero, a distance normalized_gain refuses
         # before any capture is made; the other rows are sent as usual.
         payload, carrier, modulation, channel, region = sweep_case(32, 24, 30.0, 2, 16,
                                                                    0.002)

@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import math
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -47,6 +48,13 @@ def translation(dx, dy):
     return matrix
 
 
+# A small warped, noisy clip at 2.5 m and off-axis, whose captures the areas must not move.
+AREA_CLIP = (make_carrier("gradient", 8, 6, 4), 30)
+AREA_CHANNEL = ChannelParams(geometry=ChannelGeometry(distance_m=2.5, phi_rad=0.4,
+                                                      theta_rad=0.2),
+                             noise_sigma=0.01, affine=translation(0.3, 0.2), rng_seed=11)
+
+
 class TestGeometry:
     def test_validation(self):
         with pytest.raises(ValueError, match="distance_m"):
@@ -84,12 +92,25 @@ class TestGeometry:
         assert normalized_gain(geometry) == pytest.approx(expected, rel=1e-12)
 
     def test_a_gain_that_is_not_finite_names_its_input(self):
-        with pytest.raises(ValueError, match=r"^display_area_m2 1e\+308 and "
-                                             r"aperture_area_m2 1e\+308 give no finite"):
-            normalized_gain(ChannelGeometry(display_area_m2=1e308, aperture_area_m2=1e308))
-        # d^2 underflows to zero.
-        with pytest.raises(ValueError, match=r"^distance 1e-160 m gives no finite gain"):
-            normalized_gain(ChannelGeometry(distance_m=1e-160))
+        # The areas cancel out of the relative gain, even where their product
+        # is no float.
+        assert normalized_gain(ChannelGeometry(display_area_m2=1e308,
+                                               aperture_area_m2=1e308)) == 1.0
+        # d^2 underflows to zero at 1e-160 m and overflows at 1e200 m; at
+        # 1e-161 m it is subnormal and 1 / d^2 overflows.
+        for d in (1e-160, 1e200, 1e-161):
+            for gain in (normalized_gain, geometric_gain):
+                with pytest.raises(ValueError,
+                                   match=f"^distance {re.escape(str(d))} m gives no finite gain$"):
+                    gain(ChannelGeometry(distance_m=d))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(1e-300, 1e308), st.floats(1e-300, 1e308))
+    def test_the_areas_never_reach_a_capture(self, display_area, aperture_area):
+        geometry = replace(AREA_CHANNEL.geometry, display_area_m2=display_area,
+                           aperture_area_m2=aperture_area)
+        assert transmit(*AREA_CLIP, replace(AREA_CHANNEL, geometry=geometry)).tobytes() == \
+            transmit(*AREA_CLIP, AREA_CHANNEL).tobytes()
 
     def test_point_formula_matches_surface_integration(self):
         # Far-field spot check; the broad randomized comparison lives in the
@@ -114,6 +135,8 @@ class TestChannelParams:
         dict(affine=np.zeros((3, 3))),
         dict(affine=np.eye(4)),
         dict(camera_fps=0.0),
+        dict(camera_fps=True),
+        dict(camera_fps=False),
         dict(quantizer_bits=0),
         dict(quantizer_bits=31),
         dict(rng_seed=-1),
@@ -123,9 +146,9 @@ class TestChannelParams:
         with pytest.raises(ValueError):
             ChannelParams(**kwargs)
 
-    @pytest.mark.parametrize("seed", [1.5, np.float64(1.0)])
+    @pytest.mark.parametrize("seed", [1.5, np.float64(1.0), True, False])
     def test_rejects_non_integer_seeds(self, seed):
-        # The uint64 noise key would truncate a float seed.
+        # The uint64 noise key would truncate a float seed; a bool is no integer.
         with pytest.raises(ValueError, match="rng_seed must be an integer"):
             ChannelParams(rng_seed=seed)
 

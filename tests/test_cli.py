@@ -280,19 +280,22 @@ class TestErrorPaths:
                      "--csv", str(tmp_path / "s.csv")])
         assert code == EXIT_SYNC
 
-    def test_areas_that_give_no_finite_gain_are_named(self, tmp_path, capsys):
-        cfg = tmp_path / "huge.cfg"
-        cfg.write_text(DEMO_CFG + "channel.display_area_m2 = 1e308\n"
-                                  "channel.aperture_area_m2 = 1e308\n")
+    def test_areas_past_the_float_range_send_the_demo_capture(self, tmp_path, demo_cfg):
+        # The areas cancel out of the relative gain, so 1e308 m^2 each, whose
+        # product is no float, send the demo config's capture byte for byte.
+        huge = tmp_path / "huge.cfg"
+        huge.write_text(DEMO_CFG + "channel.display_area_m2 = 1e308\n"
+                                   "channel.aperture_area_m2 = 1e308\n")
         tx = tmp_path / "tx.bfrs"
-        assert main(["encode", "--config", str(cfg), "--payload-bits", PAYLOAD,
+        assert main(["encode", "--config", str(demo_cfg), "--payload-bits", PAYLOAD,
                      "--out", str(tx)]) == EXIT_OK
-        capsys.readouterr()
-        code = main(["channel", "--config", str(cfg), "--in", str(tx),
-                     "--out", str(tmp_path / "rx.bfrs")])
-        assert code == EXIT_PIPELINE
-        assert capsys.readouterr().err == ("error: display_area_m2 1e+308 and "
-                                           "aperture_area_m2 1e+308 give no finite gain\n")
+        captures = []
+        for cfg in (demo_cfg, huge):
+            rx = tmp_path / f"{cfg.stem}.bfrs"
+            assert main(["channel", "--config", str(cfg), "--in", str(tx),
+                         "--out", str(rx)]) == EXIT_OK
+            captures.append(rx.read_bytes())
+        assert captures[0] == captures[1]
 
     def test_an_affine_past_the_float_range_fails_quietly(self, tmp_path, capsys):
         # Its determinant overflows, and rectifying through it pulls every pixel

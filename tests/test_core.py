@@ -79,6 +79,8 @@ class TestModulationParams:
         dict(symbol_duration_frames=0),
         dict(frame_rate=0.0),
         dict(frame_rate=float("inf")),
+        dict(frame_rate=True),  # not a 1-fps display
+        dict(frame_rate=False),
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
