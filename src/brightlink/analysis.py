@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import itertools
 import math
-from contextlib import closing
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -137,7 +135,7 @@ def distance_sweep(distances, payload_bits, carrier: np.ndarray,
     (decoder.StagedSignal), so no distance holds its captured clip; a row is
     bit for bit what transmit and decode_frames give at that distance. The
     pass runs on every core: transmit's threads warp and draw each block
-    while this one applies the gains and reduces (channel.transmit_gains).
+    while this one hands each distance its captures (channel.transmit_gains).
     """
     dist = [float(d) for d in distances]
     if len(dist) < 3:
@@ -154,11 +152,9 @@ def distance_sweep(distances, payload_bits, carrier: np.ndarray,
     # An error here is the pass's or the region's: finite gains pass the value check.
     received = {i: StagedSignal(channel.affine, region, channel.camera_fps) for i in gains}
     try:
-        with closing(transmit_gains(sent, modulation.frame_rate, channel,
-                                    list(gains.values()), modulation.channel,
-                                    symbol_rate=modulation.symbol_rate)) as sent_blocks:
-            for i, block in zip(itertools.cycle(gains), sent_blocks):
-                received[i].add(block)
+        transmit_gains(sent, modulation.frame_rate, channel,
+                       [(gain, received[i].add) for i, gain in gains.items()],
+                       modulation.channel, symbol_rate=modulation.symbol_rate)
     except (ValueError, RuntimeError) as exc:
         errors.update((i, str(exc)) for i in gains)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from contextlib import closing
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -54,13 +54,15 @@ class ChannelGeometry:
 def geometric_gain(geometry: ChannelGeometry) -> float:
     """Fraction of display radiance collected by the aperture.
 
-    Point-to-point approximation of the surface integral: both areas are
-    treated as single elements at distance d, so the gain is
-    A_display * A_aperture * cos(phi) * cos(theta) / (pi * d^2). Accurate when
-    the distance is large against both apertures.
+    A point-to-point approximation of the surface integral: A_display *
+    A_aperture * cos(phi) * cos(theta) / (pi * d^2), accurate when d is large
+    against both apertures. Areas whose budget is no positive finite float
+    are a ValueError.
     """
-    g = geometry
-    return g.display_area_m2 * g.aperture_area_m2 / math.pi * normalized_gain(g)
+    a, b = geometry.display_area_m2, geometry.aperture_area_m2
+    if 0.0 < (gain := a * b / math.pi * normalized_gain(geometry)) < math.inf:
+        return gain
+    raise ValueError(f"display area {a} m2 and aperture area {b} m2 give no finite gain")
 
 
 def normalized_gain(geometry: ChannelGeometry) -> float:
@@ -364,22 +366,23 @@ def transmit(frames: np.ndarray, display_fps: Fraction, params: ChannelParams,
 
 
 def transmit_gains(frames: np.ndarray, display_fps: Fraction, params: ChannelParams,
-                   gains: list[float], plane: Color, symbol_rate: Fraction | None = None
-                   ) -> Iterator[np.ndarray]:
+                   receivers: list[tuple[float, Callable[[np.ndarray], object]]], plane: Color,
+                   symbol_rate: Fraction | None = None) -> None:
     """transmit's colour plane `plane` at several gains, in one pass over the clip.
 
-    Yields, block by block in capture order, the block's (n, h, w) captures at
-    each gain in turn; the gains stand in for params.geometry's. Only that
-    plane is warped, each shown frame once, and each capture's noise is drawn
-    as in transmit once for all gains, so every gain's captures are that plane
-    of transmit's bytes at a geometry with that gain. The blocks are warped
-    and their noise drawn on transmit's threads, at most one block per thread
-    ahead of the one yielded; the caller applies the gains. Closing the
-    generator early joins the threads before it returns.
+    Block by block in capture order, calls each (gain, receive) pair in turn
+    with the block's (n, h, w) captures at that gain; the gains stand in for
+    params.geometry's. Only that plane is warped, each shown frame once, and
+    each capture's noise is drawn as in transmit once for all gains, so every
+    gain's captures are that plane of transmit's bytes at a geometry with that
+    gain. The blocks are warped and their noise drawn on transmit's threads,
+    at most one block per thread ahead of the one received; the gains are
+    applied and the receivers run on the calling thread. An error, a
+    receiver's included, is raised once the threads are joined.
     """
     plan = _plan(frames, display_fps, params, symbol_rate)
     with closing(run_tasks(list(zip(plan.bounds[:-1], plan.bounds[1:])),
                            lambda: _preparer(plan, params, int(plane)), ahead=1)) as ready:
         for block in ready:
-            for i, gain in enumerate(gains):
-                yield _observe(block, gain, params.quantizer_bits, i == len(gains) - 1)
+            for i, (gain, receive) in enumerate(receivers):
+                receive(_observe(block, gain, params.quantizer_bits, i == len(receivers) - 1))

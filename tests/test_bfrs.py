@@ -91,6 +91,15 @@ class TestWriteValidation:
                        np.zeros((1, 2, 2, 3), dtype=np.uint8), Fraction(0))
 
 
+    @pytest.mark.parametrize("fps, label", [(Fraction(2**32), "numerator"),
+                                            (Fraction(1, 2**32), "denominator")])
+    def test_rejects_a_rate_past_32_bits(self, tmp_path, fps, label):
+        path = tmp_path / "x.bfrs"
+        with pytest.raises(ValueError, match=f"^fps {label} 4294967296 does not fit in 32 bits$"):
+            write_bfrs(path, np.zeros((1, 2, 2, 3), dtype=np.uint8), fps)
+        assert not path.exists()
+
+
 class TestReadValidation:
     def _valid_bytes(self):
         frames = np.zeros((2, 2, 2, 3), dtype=np.uint8)

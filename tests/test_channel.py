@@ -103,6 +103,13 @@ class TestGeometry:
                 with pytest.raises(ValueError,
                                    match=f"^distance {re.escape(str(d))} m gives no finite gain$"):
                     gain(ChannelGeometry(distance_m=d))
+        # The absolute budget keeps the areas: their product overflows at
+        # 1e308 m2 each and underflows to zero at 1e-300 m2 each.
+        for area in (1e308, 1e-300):
+            name = re.escape(str(area))
+            with pytest.raises(ValueError, match=f"^display area {name} m2 and aperture area "
+                                                 f"{name} m2 give no finite gain$"):
+                geometric_gain(ChannelGeometry(display_area_m2=area, aperture_area_m2=area))
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(1e-300, 1e308), st.floats(1e-300, 1e308))
@@ -887,6 +894,15 @@ def channel_cases(draw):
     return clip, display, params
 
 
+def received_blocks(clip, display, params, gains, plane):
+    """Every block transmit_gains hands its receivers, in call order: block by
+    block, each gain's after the one before it."""
+    blocks = []
+    assert transmit_gains(clip, display, params, [(gain, blocks.append) for gain in gains],
+                          plane) is None
+    return blocks
+
+
 @settings(max_examples=200, deadline=None)
 @given(case=channel_cases(), workers=st.sampled_from([1, 2, 8]))
 def test_transmit_and_each_plane_of_transmit_gains_match_the_reference(case, workers):
@@ -896,8 +912,8 @@ def test_transmit_and_each_plane_of_transmit_gains_match_the_reference(case, wor
     with mock.patch.object(core_module, "_CORES", workers):
         assert transmit(clip, display, params).tobytes() == expected[0].tobytes()
         for plane in Color:
-            blocks = list(transmit_gains(clip, display, params,
-                                         [1.0, normalized_gain(far.geometry)], plane))
+            blocks = received_blocks(clip, display, params,
+                                     [1.0, normalized_gain(far.geometry)], plane)
             for gain, reference in enumerate(expected):
                 assert np.concatenate(blocks[gain::2]).tobytes() == \
                     reference[..., plane].tobytes()
@@ -905,7 +921,7 @@ def test_transmit_and_each_plane_of_transmit_gains_match_the_reference(case, wor
 
 class TestThreadedGains:
     """transmit_gains warps blocks and draws their noise on transmit's threads
-    and applies the gains on the caller, yielding in capture order."""
+    and applies the gains and runs the receivers on the caller, in capture order."""
 
     # 120 frames of 24x32: 5 blocks at 30 fps, 8 at 45 fps (TestBlockWalk.CLIP).
     CLIP = TestBlockWalk.CLIP
@@ -923,8 +939,8 @@ class TestThreadedGains:
         expected = [transmit(self.CLIP, 30.0, p) for p in (params, far)]
         assert expected[0].tobytes() == transmit_reference(self.CLIP, 30.0, params).tobytes()
         for plane in Color:
-            blocks = list(transmit_gains(self.CLIP, 30.0, params,
-                                         [1.0, normalized_gain(far.geometry)], plane))
+            blocks = received_blocks(self.CLIP, 30.0, params,
+                                     [1.0, normalized_gain(far.geometry)], plane)
             for gain, reference in enumerate(expected):
                 assert np.concatenate(blocks[gain::2]).tobytes() == \
                     reference[..., plane].tobytes()
@@ -938,18 +954,28 @@ class TestThreadedGains:
         monkeypatch.setattr(core_module, "_CORES", 2)
         monkeypatch.setattr(channel_module, "to_unit", failing_off_the_calling_thread)
         with pytest.raises(RuntimeError, match="worker failed"):
-            list(transmit_gains(self.CLIP, 30.0, ChannelParams(noise_sigma=0.01),
-                                [1.0, 0.5], Color.RED))
+            received_blocks(self.CLIP, 30.0, ChannelParams(noise_sigma=0.01), [1.0, 0.5],
+                            Color.RED)
 
     @pytest.mark.parametrize("workers", [2, 8])
-    def test_closing_after_the_first_block_joins_every_worker(self, monkeypatch, workers):
+    def test_a_receiver_error_joins_every_worker(self, monkeypatch, workers):
         monkeypatch.setattr(core_module, "_CORES", workers)
         params = ChannelParams(noise_sigma=0.01, camera_fps=45.0)
         before = set(threading.enumerate())
-        sent = transmit_gains(self.CLIP, 30.0, params, [1.0, 0.5], Color.GREEN)
-        first = next(sent)
-        assert set(threading.enumerate()) - before  # the workers run ahead
-        sent.close()
-        assert not set(threading.enumerate()) - before
+        received = []
+
+        def refuse(block):
+            received.append((block, set(threading.enumerate()) - before))
+            raise RuntimeError("receiver failed")
+
+        with pytest.raises(RuntimeError, match="receiver failed"):
+            try:
+                transmit_gains(self.CLIP, 30.0, params, [(1.0, refuse), (0.5, refuse)],
+                               Color.GREEN)
+            finally:  # read while the error is in flight, before anything is collected
+                left = set(threading.enumerate()) - before
+        [(first, started)] = received
+        assert started  # the workers ran ahead
+        assert not left
         expected = transmit(self.CLIP, 30.0, params)[:len(first), ..., Color.GREEN]
         assert first.tobytes() == expected.tobytes()

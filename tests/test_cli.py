@@ -329,6 +329,45 @@ class TestErrorPaths:
                      "--out", str(tmp_path / "rx.bfrs")])
         assert code == EXIT_USAGE
 
+    def test_a_capture_cut_short_is_an_integrity_error(self, tmp_path, capsys):
+        cfg = tmp_path / "short.cfg"
+        cfg.write_text("modulation.symbol_duration_frames = 3\n"
+                       "carrier.width = 16\ncarrier.height = 12\n", encoding="utf-8")
+        tx, rx, report = tmp_path / "tx.bfrs", tmp_path / "rx.bfrs", tmp_path / "r.txt"
+        assert main(["encode", "--config", str(cfg), "--payload-bits", PAYLOAD,
+                     "--out", str(tx)]) == EXIT_OK
+        assert main(["channel", "--config", str(cfg), "--in", str(tx),
+                     "--out", str(rx)]) == EXIT_OK
+        frames, fps = read_bfrs(rx)
+        assert len(frames) == 288
+        write_bfrs(rx, frames[:-40], fps)
+        capsys.readouterr()
+        code = main(["decode", "--config", str(cfg), "--in", str(rx), "--report", str(report)])
+        assert code == EXIT_INTEGRITY
+        assert capsys.readouterr().err == ("error: header declares 16 payload bits "
+                                           "but only 3 are present\n")
+        assert not report.exists()
+
+    @pytest.mark.parametrize("command, args, missing", [
+        ("channel", ["--in", "{tmp}/tx.bfrs", "--out", "{tmp}/rx.bfrs"], "tx.bfrs"),
+        ("decode", ["--in", "{tmp}/rx.bfrs", "--report", "{tmp}/r.txt"], "rx.bfrs"),
+        ("encode", ["--payload-bits", PAYLOAD, "--out", "{tmp}/nodir/tx.bfrs"], "tx.bfrs"),
+        ("encode", ["--payload", "{tmp}/p.bin", "--out", "{tmp}/tx.bfrs"], "p.bin"),
+    ])
+    def test_a_file_that_cannot_be_opened_is_a_usage_error(self, tmp_path, demo_cfg, capsys,
+                                                           command, args, missing):
+        args = [arg.format(tmp=tmp_path) for arg in args]
+        assert main([command, "--config", str(demo_cfg), *args]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno 2] No such file or directory") and missing in err
+
+    def test_encode_without_a_payload_is_a_usage_error(self, tmp_path, demo_cfg, capsys):
+        out = tmp_path / "tx.bfrs"
+        assert main(["encode", "--config", str(demo_cfg), "--out", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == ("error: a payload is required "
+                                           "(--payload-bits or --payload)\n")
+        assert not out.exists()
+
     def test_payload_sources_are_exclusive(self, tmp_path, demo_cfg):
         payload_file = tmp_path / "p.bin"
         payload_file.write_bytes(b"\x01")

@@ -81,6 +81,7 @@ class TestModulationParams:
         dict(frame_rate=float("inf")),
         dict(frame_rate=True),  # not a 1-fps display
         dict(frame_rate=False),
+        dict(channel=0),  # a Color, not its index
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -136,6 +137,11 @@ def test_symbols_to_bits_rejects_out_of_range():
         symbols_to_bits([0, 4], params)
     with pytest.raises(ValueError, match="symbol indices"):
         symbols_to_bits([-1], params)
+
+
+def test_symbols_to_bits_rejects_more_than_one_dimension():
+    with pytest.raises(ValueError, match=r"^symbols must be one-dimensional, got shape \(1, 2\)$"):
+        symbols_to_bits([[0, 1]], ModulationParams())
 
 
 def _all_bitstreams(max_len):

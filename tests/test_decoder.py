@@ -529,6 +529,14 @@ class TestSynchronize:
         with pytest.raises(SyncError):
             synchronize(series, OOK, camera_fps=30.0)
 
+    def test_a_camera_at_half_the_symbol_rate_sees_a_degenerate_template(self):
+        # At half a capture per symbol every capture lands in an odd symbol,
+        # so the +/-1 template is constant.
+        params = ModulationParams(symbol_duration_frames=1)
+        series = SymbolSeries(np.zeros(200), sample_rate=15.0)
+        with pytest.raises(SyncError, match="^degenerate preamble template$"):
+            synchronize(series, params, camera_fps=15.0)
+
     def test_pure_noise_rejected(self):
         rng = np.random.default_rng(1)
         series = SymbolSeries(rng.uniform(0.4, 0.6, size=300), sample_rate=30.0)

@@ -82,8 +82,12 @@ def test_transmit_gives_the_same_bytes_for_every_layout(monkeypatch, camera_fps,
 def test_transmit_gains_gives_the_same_bytes_for_every_layout(camera_fps, bits):
     params = ChannelParams(noise_sigma=0.01, affine=PERSPECTIVE, camera_fps=camera_fps,
                            quantizer_bits=bits, rng_seed=7)
-    found = {name: digest(transmit_gains(clip, 30.0, params, [1.0, 0.25], Color.GREEN))
-             for name, clip in layouts(CLIP).items()}
+    found = {}
+    for name, clip in layouts(CLIP).items():
+        blocks = []
+        transmit_gains(clip, 30.0, params, [(1.0, blocks.append), (0.25, blocks.append)],
+                       Color.GREEN)
+        found[name] = digest(blocks)
     assert len(set(found.values())) == 1, found
 
 
