@@ -137,16 +137,15 @@ def resampling_map(pull: np.ndarray, height: int,
     is a ValueError.
     """
     n_pix = height * width
-    dest = np.empty((height, width, 3))
-    dest[..., 0] = np.arange(width)
-    dest[..., 1] = np.arange(height)[:, None]
-    dest[..., 2] = 1.0
+    xs = np.tile(np.arange(width, dtype=np.float64), height)
+    ys = np.repeat(np.arange(height, dtype=np.float64), width)
     with np.errstate(all="ignore"):  # coordinates past the float range are refused below
-        projected = dest.reshape(n_pix, 3) @ pull.T
-        w = projected[:, 2:]
+        # Term by term, not a matrix product, which BLAS may fuse or reorder:
+        # near a pixel edge a coordinate's last bit sets a weight's leading digits.
+        u, v, w = (row[0] * xs + row[1] * ys + row[2] for row in pull)
         if np.any(np.abs(w) < 1e-12):
             raise ValueError("homography maps a pixel to infinity")
-        source = projected[:, :2] / w
+        source = np.stack((u, v), axis=1) / w[:, None]
     if not np.all(np.isfinite(source)):
         raise ValueError("homography maps a pixel past the float range")
     # Far outside the frame a pixel reads black wherever it lies: clip it to fit the int cast.

@@ -372,6 +372,39 @@ class TestTransmit:
         with pytest.raises(ValueError, match="maps a pixel past the float range"):
             extract_signal(frames, homography=np.diag([1e308, 1e308, 1.0]))
 
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2])
+    def test_each_weight_is_the_per_pixel_formula_bit_for_bit(self, seed):
+        # Near a pixel edge a weight such as 1 - fy loses most of its digits,
+        # so a coordinate's last bit sets its leading ones: the map must round
+        # each coordinate as bilinear_pull_reference does, not as a BLAS
+        # matrix product happens to. Pixel (3, 7) of the first pull has
+        # 1 - fy = 3e-4; a matrix product put it 2.4e-12 apart in relative terms.
+        height, width = 8, 4
+        pull = np.eye(3) + np.array([
+            [0.0, 0.0, 0.0],
+            [0.030658860970932136, 0.00026357056418239706, 0.9117747775531666],
+            [0.00026357056418239706, 0.0, 0.0]])
+        if seed is not None:
+            height, width = 24, 32
+            rng = np.random.default_rng(seed)
+            pull = np.eye(3) + np.array([[*rng.uniform(-0.05, 0.05, 2), rng.uniform(-2, 2)],
+                                         [*rng.uniform(-0.05, 0.05, 2), rng.uniform(-2, 2)],
+                                         [*rng.uniform(-1e-3, 1e-3, 2), 0.0]])
+        index, weight = resampling_map(pull, height, width)
+        rows = pull.tolist()
+        for y in range(height):
+            for x in range(width):
+                u, v, s = (r[0] * x + r[1] * y + r[2] for r in rows)
+                sx, sy = u / s, v / s
+                x0, y0 = math.floor(sx), math.floor(sy)
+                fx, fy = sx - x0, sy - y0
+                corners = ((x0, y0, (1 - fx) * (1 - fy)), (x0 + 1, y0, fx * (1 - fy)),
+                           (x0, y0 + 1, (1 - fx) * fy), (x0 + 1, y0 + 1, fx * fy))
+                for k, (cx, cy, expected) in enumerate(corners):
+                    valid = 0 <= cx < width and 0 <= cy < height
+                    assert index[k, y * width + x] == (cy * width + cx if valid else 0)
+                    assert weight[k, y * width + x] == (expected if valid else 0.0)
+
 
 def numbered_clip(n):
     """n one-pixel display frames; frame i holds i in red (low byte) and green."""
