@@ -62,8 +62,9 @@ def monte_carlo_ber(model: BerModel, n_symbols: int, seed: int = 0) -> tuple[flo
     Draws n_symbols equiprobable symbols, adds cluster noise, thresholds, and
     counts errors. The halfwidth is three binomial standard errors at the
     measured rate. Chunks of _MC_CHUNK symbols, keyed (seed, chunk index),
-    run on every core (core.run_tasks) and their integer error counts add
-    up, so results depend on neither the thread count nor history.
+    run on every core (core.run_tasks), at most one per thread ahead of the
+    count last added, and their integer error counts add up, so results
+    depend on neither the thread count nor history.
     """
     n_symbols = as_int(n_symbols, "n_symbols")
     if n_symbols < MC_MIN_SYMBOLS:
@@ -81,7 +82,7 @@ def monte_carlo_ber(model: BerModel, n_symbols: int, seed: int = 0) -> tuple[flo
         decided = (amplitude >= model.threshold).astype(np.int64)
         return int(np.count_nonzero(decided != sent))
 
-    errors = sum(run_tasks(range(-(-n_symbols // _MC_CHUNK)), lambda: count_errors))
+    errors = sum(run_tasks(range(-(-n_symbols // _MC_CHUNK)), lambda: count_errors, ahead=1))
     rate = errors / n_symbols
     halfwidth = 3.0 * math.sqrt(rate * (1.0 - rate) / n_symbols)
     return rate, halfwidth

@@ -31,35 +31,34 @@ class ChannelGeometry:
         angles between the line of sight and the display normal (phi) and the
         camera optical axis (theta). Both must stay below 90 degrees or the
         surfaces no longer face each other.
-    display_area_m2, aperture_area_m2:
-        emitting and collecting areas. Defaults: a 19-inch 4:3 panel and a
-        small security-camera lens.
     """
 
     distance_m: float = 1.0
     phi_rad: float = 0.0
     theta_rad: float = 0.0
-    display_area_m2: float = 0.11
-    aperture_area_m2: float = 2.0e-5
 
     def __post_init__(self) -> None:
-        for label in ("distance_m", "display_area_m2", "aperture_area_m2"):
-            if not 0.0 < (value := getattr(self, label)) < math.inf:
-                raise ValueError(f"{label} must be positive, got {value}")
+        if not 0.0 < self.distance_m < math.inf:
+            raise ValueError(f"distance_m must be positive, got {self.distance_m}")
         for label, angle in (("phi_rad", self.phi_rad), ("theta_rad", self.theta_rad)):
             if not 0.0 <= angle < math.pi / 2:
                 raise ValueError(f"{label} must lie in [0, pi/2), got {angle}")
 
 
-def geometric_gain(geometry: ChannelGeometry) -> float:
+def geometric_gain(geometry: ChannelGeometry, display_area_m2: float = 0.11,
+                   aperture_area_m2: float = 2.0e-5) -> float:
     """Fraction of display radiance collected by the aperture.
 
     A point-to-point approximation of the surface integral: A_display *
     A_aperture * cos(phi) * cos(theta) / (pi * d^2), accurate when d is large
-    against both apertures. Areas whose budget is no positive finite float
-    are a ValueError.
+    against both apertures. The default areas are a 19-inch 4:3 panel and a
+    small security-camera lens; an area that is not positive and finite, or
+    areas whose budget is no positive finite float, are a ValueError.
     """
-    a, b = geometry.display_area_m2, geometry.aperture_area_m2
+    a, b = display_area_m2, aperture_area_m2
+    for label, area in (("display_area_m2", a), ("aperture_area_m2", b)):
+        if not 0.0 < area < math.inf:
+            raise ValueError(f"{label} must be positive, got {area}")
     if 0.0 < (gain := a * b / math.pi * normalized_gain(geometry)) < math.inf:
         return gain
     raise ValueError(f"display area {a} m2 and aperture area {b} m2 give no finite gain")
@@ -70,8 +69,8 @@ def normalized_gain(geometry: ChannelGeometry) -> float:
 
     The reference keeps pixel amplitudes in a usable range: a head-on capture
     at one meter reproduces the display values, and everything else scales by
-    cos(phi) * cos(theta) / d^2, whatever the areas. A distance that gives no
-    finite gain, as when d^2 leaves the positive floats, is a ValueError.
+    cos(phi) * cos(theta) / d^2. A distance that gives no finite gain, as when
+    d^2 leaves the positive floats, is a ValueError.
     """
     g = geometry
     if (0.0 < (square := g.distance_m * g.distance_m) < math.inf
@@ -86,9 +85,10 @@ class ChannelParams:
 
     affine is the forward 3x3 homography mapping display pixel coordinates to
     sensor pixel coordinates. noise_sigma is the per-pixel Gaussian noise level
-    in unit-range amplitude. quantizer_bits sets the sensor bit depth; 8 yields
-    uint8 output, anything else a float32 grid. rng_seed, an integer in
-    [0, 2**64), keys the per-frame noise.
+    in unit-range amplitude. quantizer_bits, in [1, 24], sets the sensor bit
+    depth; 8 yields uint8 output, anything else a float32 grid, which holds
+    every level up to 24 bits. rng_seed, an integer in [0, 2**64), keys the
+    per-frame noise.
     """
 
     geometry: ChannelGeometry = ChannelGeometry()
@@ -105,8 +105,8 @@ class ChannelParams:
         object.__setattr__(self, "camera_fps", as_rate(self.camera_fps, "camera_fps"))
         object.__setattr__(self, "quantizer_bits",
                            as_int(self.quantizer_bits, "quantizer_bits"))
-        if not 1 <= self.quantizer_bits <= 30:
-            raise ValueError(f"quantizer_bits must be an int in [1, 30], "
+        if not 1 <= self.quantizer_bits <= 24:
+            raise ValueError(f"quantizer_bits must be an int in [1, 24], "
                              f"got {self.quantizer_bits}")
         object.__setattr__(self, "rng_seed", as_seed(self.rng_seed, "rng_seed"))
 

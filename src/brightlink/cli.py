@@ -6,7 +6,6 @@ import argparse
 import functools
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -91,12 +90,6 @@ def _check_seed(seed: int) -> int:
         raise ConfigError(str(exc)) from None
 
 
-def _override_seed(config: RunConfig, seed: int | None) -> RunConfig:
-    if seed is None:
-        return config
-    return replace(config, channel=replace(config.channel, rng_seed=_check_seed(seed)))
-
-
 def cmd_encode(args) -> int:
     config = load_config(args.config)
     payload = _load_payload_bits(args.payload_bits, args.payload)
@@ -111,7 +104,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_channel(args) -> int:
-    config = _override_seed(load_config(args.config), args.seed)
+    config = load_config(args.config)
     if config.channel.quantizer_bits != 8:
         raise ConfigError("channel command writes BFRS, which stores uint8; "
                           "set channel.quantizer_bits = 8")
@@ -165,7 +158,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _override_seed(load_config(args.config), args.seed)
+    config = load_config(args.config)
     distances = _parse_numbers(args.distances, "distances")
     if len(distances) < 3:
         raise ConfigError(f"a sweep needs at least 3 distances, got {len(distances)}")
@@ -235,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     channel.add_argument("--config", required=True)
     channel.add_argument("--in", dest="infile", required=True, help="input BFRS path")
     channel.add_argument("--out", required=True, help="output BFRS path")
-    channel.add_argument("--seed", type=int, help="override channel.seed")
     channel.set_defaults(func=cmd_channel)
 
     decode = sub.add_parser("decode", help="recover the payload from captured frames")
@@ -254,7 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma-separated distances in meters")
     sweep.add_argument("--payload-bits", help="payload as a 0/1 string")
     sweep.add_argument("--payload", help="payload file")
-    sweep.add_argument("--seed", type=int, help="override channel.seed")
     sweep.add_argument("--out", required=True, help="output CSV path")
     sweep.set_defaults(func=cmd_sweep)
 

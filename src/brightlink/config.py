@@ -111,8 +111,7 @@ def _parse_region(raw: str) -> tuple[int, int, int, int]:
 _MODULATION_KEYS = {"m": int, "symbol_duration_frames": int, "depth": float,
                     "channel": Color.parse, "frame_rate": _parse_rate,
                     "allow_visible_depth": _parse_bool}
-_GEOMETRY_KEYS = {"distance_m": float, "phi_rad": float, "theta_rad": float,
-                  "display_area_m2": float, "aperture_area_m2": float}
+_GEOMETRY_KEYS = {"distance_m": float, "phi_rad": float, "theta_rad": float}
 _CAPTURE_KEYS = {"noise_sigma": float, "affine": _parse_matrix,
                  "camera_fps": _parse_rate, "quantizer_bits": int, "seed": int}
 

@@ -6,6 +6,7 @@ import math
 import numbers
 import os
 import threading
+from collections import deque
 from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -242,10 +243,11 @@ def quantize_unit(frames: np.ndarray, bits: int = 8) -> np.ndarray:
     """Quantize unit-range floats to 2**bits levels, rounding halves up.
 
     Returns uint8 for bits == 8 and float32 (still unit range, on the
-    quantizer grid) otherwise.
+    quantizer grid) otherwise; bits lie in [1, 24], as float32 cannot hold
+    every level of a deeper grid.
     """
-    if not 1 <= bits <= 30:
-        raise ValueError(f"quantizer bits must lie in [1, 30], got {bits}")
+    if not 1 <= bits <= 24:
+        raise ValueError(f"quantizer bits must lie in [1, 24], got {bits}")
     levels = (1 << bits) - 1
     q = np.multiply(frames, levels, dtype=np.float64)
     q += 0.5
@@ -277,7 +279,7 @@ def run_tasks(tasks: Sequence, make_work: Callable[[], Callable],
             local.work = make_work()
         return local.work(tasks[index])
 
-    pool, futures, mine = ThreadPoolExecutor(n_threads - 1), [], {}
+    pool, futures, mine = ThreadPoolExecutor(n_threads - 1), deque(), {}
     try:
         for head in range(len(tasks)):
             end = len(tasks) if ahead is None else head + 1 + ahead * n_threads
@@ -288,7 +290,7 @@ def run_tasks(tasks: Sequence, make_work: Callable[[], Callable],
                     break
                 if not future.done() and future.cancel():  # no thread started it
                     mine[head + i] = run(head + i)
-            future = futures.pop(0)
+            future = futures.popleft()
             yield mine.pop(head) if future.cancelled() else future.result()
     finally:
         pool.shutdown(cancel_futures=True)

@@ -67,9 +67,13 @@ class SyncResult:
         """Start and stop sample (rows) of each symbol's central window, clipped to
         [0, n_samples), through the first symbol that starts past the end.
 
-        A central window is the middle half of the symbol period, since edge
-        samples may straddle a display-frame boundary, or the sample nearest the
-        center when that half holds none. The read-only table is built once, on
+        A central window, since edge samples may straddle a display-frame
+        boundary, holds the sample indices in the middle half of [k r, (k + 1) r)
+        past the offset, at r samples per symbol, or the index nearest the center
+        when that half holds none. Sample i is the capture at (i + 1/2) frame
+        periods, so the window sits half a sample after the middle of the samples
+        that show the symbol: at r = 3, samples 0-2 show symbol 0 and 1-2 decide
+        it; at r = 2, sample 1 does. The read-only table is built once, on
         first use, in integer arithmetic on the rate's numerator and denominator;
         every stage slices it."""
         o, n = self.offset, self.n_samples

@@ -1,7 +1,9 @@
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from brightlink import core as core_module
 from brightlink.channel import _warp_operator
 from brightlink.decoder import _rectify_weights
 
@@ -25,6 +27,20 @@ def no_thread_left_running():
             if thread not in before and not thread.daemon]
     if left:
         pytest.fail(f"threads left running: {left}")
+
+
+@pytest.fixture
+def submissions(monkeypatch):
+    """A list that gets one entry per task core.run_tasks hands its pool."""
+    submitted = []
+
+    class CountingExecutor(ThreadPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            submitted.append(args)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(core_module, "ThreadPoolExecutor", CountingExecutor)
+    return submitted
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from brightlink import analysis as analysis_module
 from brightlink import channel as channel_module
 from brightlink import core as core_module
 from brightlink.analysis import (
@@ -160,6 +161,23 @@ class TestMonteCarloBer:
         for workers in (1, 2, 8):
             monkeypatch.setattr(core_module, "_CORES", workers)
             assert monte_carlo_ber(model, n_symbols, seed=2**64 - 1) == expected
+
+    def test_chunks_wait_for_their_turn(self, monkeypatch, submissions):
+        # One chunk per thread runs ahead of the count last added, so a huge
+        # n_symbols queues no more than the first chunks before any count.
+        monkeypatch.setattr(core_module, "_CORES", 2)
+        monkeypatch.setattr(analysis_module, "_MC_CHUNK", 100)
+        queued = []
+
+        def first_counts(*args, **kwargs):
+            for errors in core_module.run_tasks(*args, **kwargs):
+                queued.append(len(submissions))
+                yield errors
+
+        monkeypatch.setattr(analysis_module, "run_tasks", first_counts)
+        found = monte_carlo_ber(BerModel(0.0, 1.0, 0.4), 50_000, seed=4)
+        assert found == monte_carlo_ber_reference(0.0, 1.0, 0.4, 50_000, 4, 100)
+        assert len(queued) == 500 and queued[0] == 3
 
 
 class TestFitLoglogSlope:

@@ -5,7 +5,7 @@ import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from unittest import mock
 
@@ -48,13 +48,6 @@ def translation(dx, dy):
     return matrix
 
 
-# A small warped, noisy clip at 2.5 m and off-axis, whose captures the areas must not move.
-AREA_CLIP = (make_carrier("gradient", 8, 6, 4), 30)
-AREA_CHANNEL = ChannelParams(geometry=ChannelGeometry(distance_m=2.5, phi_rad=0.4,
-                                                      theta_rad=0.2),
-                             noise_sigma=0.01, affine=translation(0.3, 0.2), rng_seed=11)
-
-
 class TestGeometry:
     def test_validation(self):
         with pytest.raises(ValueError, match="distance_m"):
@@ -63,10 +56,17 @@ class TestGeometry:
             ChannelGeometry(phi_rad=math.pi / 2)
         with pytest.raises(ValueError, match="theta_rad"):
             ChannelGeometry(theta_rad=-0.1)
-        with pytest.raises(ValueError, match="display_area_m2"):
-            ChannelGeometry(display_area_m2=0.0)
-        with pytest.raises(ValueError, match="aperture_area_m2"):
-            ChannelGeometry(aperture_area_m2=-1e-6)
+
+    def test_the_geometry_holds_only_what_moves_a_capture(self):
+        assert [f.name for f in fields(ChannelGeometry)] == ["distance_m", "phi_rad",
+                                                             "theta_rad"]
+
+    @pytest.mark.parametrize("area", [0.0, -1e-6, math.inf, -math.inf, math.nan])
+    def test_areas_that_are_not_positive_and_finite_are_refused(self, area):
+        with pytest.raises(ValueError, match="^display_area_m2 must be positive"):
+            geometric_gain(ChannelGeometry(), display_area_m2=area)
+        with pytest.raises(ValueError, match="^aperture_area_m2 must be positive"):
+            geometric_gain(ChannelGeometry(), aperture_area_m2=area)
 
     def test_head_on_gain_at_one_meter(self):
         geometry = ChannelGeometry(distance_m=1.0)
@@ -92,10 +92,6 @@ class TestGeometry:
         assert normalized_gain(geometry) == pytest.approx(expected, rel=1e-12)
 
     def test_a_gain_that_is_not_finite_names_its_input(self):
-        # The areas cancel out of the relative gain, even where their product
-        # is no float.
-        assert normalized_gain(ChannelGeometry(display_area_m2=1e308,
-                                               aperture_area_m2=1e308)) == 1.0
         # d^2 underflows to zero at 1e-160 m and overflows at 1e200 m; at
         # 1e-161 m it is subnormal and 1 / d^2 overflows.
         for d in (1e-160, 1e200, 1e-161):
@@ -109,15 +105,7 @@ class TestGeometry:
             name = re.escape(str(area))
             with pytest.raises(ValueError, match=f"^display area {name} m2 and aperture area "
                                                  f"{name} m2 give no finite gain$"):
-                geometric_gain(ChannelGeometry(display_area_m2=area, aperture_area_m2=area))
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.floats(1e-300, 1e308), st.floats(1e-300, 1e308))
-    def test_the_areas_never_reach_a_capture(self, display_area, aperture_area):
-        geometry = replace(AREA_CHANNEL.geometry, display_area_m2=display_area,
-                           aperture_area_m2=aperture_area)
-        assert transmit(*AREA_CLIP, replace(AREA_CHANNEL, geometry=geometry)).tobytes() == \
-            transmit(*AREA_CLIP, AREA_CHANNEL).tobytes()
+                geometric_gain(ChannelGeometry(), display_area_m2=area, aperture_area_m2=area)
 
     def test_point_formula_matches_surface_integration(self):
         # Far-field spot check; the broad randomized comparison lives in the
@@ -125,10 +113,9 @@ class TestGeometry:
         area, aperture = 0.11, 2e-5
         d = 20.0 * math.sqrt(2 * area)
         phi, theta = math.radians(30), math.radians(45)
-        geometry = ChannelGeometry(distance_m=d, phi_rad=phi, theta_rad=theta,
-                                   display_area_m2=area, aperture_area_m2=aperture)
+        geometry = ChannelGeometry(distance_m=d, phi_rad=phi, theta_rad=theta)
         exact = surface_integrated_gain(d, phi, theta, area, aperture)
-        assert geometric_gain(geometry) == pytest.approx(exact, rel=1e-3)
+        assert geometric_gain(geometry, area, aperture) == pytest.approx(exact, rel=1e-3)
 
 
 class TestChannelParams:
@@ -145,6 +132,7 @@ class TestChannelParams:
         dict(camera_fps=True),
         dict(camera_fps=False),
         dict(quantizer_bits=0),
+        dict(quantizer_bits=25),
         dict(quantizer_bits=31),
         dict(rng_seed=-1),
         dict(rng_seed=2**64),

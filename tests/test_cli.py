@@ -2,11 +2,13 @@ import hashlib
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from brightlink import config as config_module
 from brightlink.bfrs import read_bfrs, write_bfrs
 from brightlink.cli import (
     EXIT_FORMAT,
@@ -18,7 +20,7 @@ from brightlink.cli import (
     build_parser,
     main,
 )
-from brightlink.config import load_config
+from brightlink.config import RunConfig, load_config
 from brightlink.decoder import decode_frames
 from brightlink.encoder import make_carrier
 
@@ -52,18 +54,15 @@ def with_key(text, key, value):
     return "\n".join([*lines, f"{key} = {value}"]) + "\n"
 
 
-def run_link(tmp_path, cfg, payload=PAYLOAD, seed=None):
+def run_link(tmp_path, cfg, payload=PAYLOAD):
     tx = tmp_path / "tx.bfrs"
     rx = tmp_path / "rx.bfrs"
     report = tmp_path / "report.txt"
     csv = tmp_path / "series.csv"
     assert main(["encode", "--config", str(cfg), "--payload-bits", payload,
                  "--out", str(tx)]) == EXIT_OK
-    channel_args = ["channel", "--config", str(cfg), "--in", str(tx),
-                    "--out", str(rx)]
-    if seed is not None:
-        channel_args += ["--seed", str(seed)]
-    assert main(channel_args) == EXIT_OK
+    assert main(["channel", "--config", str(cfg), "--in", str(tx),
+                 "--out", str(rx)]) == EXIT_OK
     code = main(["decode", "--config", str(cfg), "--in", str(rx),
                  "--report", str(report), "--csv", str(csv),
                  "--reference-bits", payload])
@@ -148,31 +147,27 @@ class TestLinkRoundTrip:
                      "--payload-out", str(recovered)]) == EXIT_OK
         assert recovered.read_bytes() == b"\xde\xad\xbe\xef"
 
-    def test_channel_is_deterministic_per_seed(self, tmp_path, demo_cfg):
-        for sub in ("a", "b", "c"):
+    def test_channel_is_deterministic_per_seed(self, tmp_path):
+        captures = []
+        for sub, seed in (("a", 5), ("b", 5), ("c", 6)):
             (tmp_path / sub).mkdir()
-        _, _, rx1, _, _ = run_link(tmp_path / "a", demo_cfg, seed=5)
-        _, _, rx2, _, _ = run_link(tmp_path / "b", demo_cfg, seed=5)
-        _, _, rx3, _, _ = run_link(tmp_path / "c", demo_cfg, seed=6)
-        assert rx1.read_bytes() == rx2.read_bytes()
-        assert rx1.read_bytes() != rx3.read_bytes()
+            cfg = tmp_path / sub / "demo.cfg"
+            cfg.write_text(with_key(DEMO_CFG, "channel.seed", seed), encoding="utf-8")
+            captures.append(run_link(tmp_path / sub, cfg)[2].read_bytes())
+        assert captures[0] == captures[1] != captures[2]
 
-    def test_a_seed_does_not_reach_the_next_call(self, tmp_path, demo_cfg):
+    def test_a_seed_does_not_reach_the_next_call(self, tmp_path, capsys):
         # main parses every call with one parser; an option given to one call
         # must not stay set for the next.
-        tx, rx = tmp_path / "tx.bfrs", tmp_path / "rx.bfrs"
-        assert main(["encode", "--config", str(demo_cfg), "--payload-bits", PAYLOAD,
-                     "--out", str(tx)]) == EXIT_OK
-        channel_args = ["channel", "--config", str(demo_cfg), "--in", str(tx),
-                        "--out", str(rx)]
-        assert main([*channel_args, "--seed", "5"]) == EXIT_OK
-        seeded = rx.read_bytes()
-        assert main(channel_args) == EXIT_OK
-        unseeded = rx.read_bytes()
+        ber_args = ["ber", "--q", "1", "--symbols", "10000"]
+        assert main([*ber_args, "--seed", "5"]) == EXIT_OK
+        seeded = capsys.readouterr().out
+        assert main(ber_args) == EXIT_OK
+        unseeded = capsys.readouterr().out
         assert build_parser() is build_parser()
         build_parser.cache_clear()
-        assert main(channel_args) == EXIT_OK
-        assert unseeded == rx.read_bytes()
+        assert main(ber_args) == EXIT_OK
+        assert unseeded == capsys.readouterr().out
         assert unseeded != seeded
 
     def test_corrupted_capture_fails_integrity(self, tmp_path, demo_cfg, capsys):
@@ -222,18 +217,22 @@ class TestErrorPaths:
         assert not (tmp_path / "tx.bfrs").exists()
 
     @pytest.mark.parametrize("seed", ["-1", str(2**64)])
-    @pytest.mark.parametrize("command", ["channel", "sweep", "ber"])
-    def test_seed_outside_64_bits_is_a_usage_error(self, tmp_path, demo_cfg, capsys,
-                                                   command, seed):
-        args = {
-            "channel": ["--config", str(demo_cfg), "--in", str(tmp_path / "tx.bfrs"),
-                        "--out", str(tmp_path / "rx.bfrs")],
-            "sweep": ["--config", str(demo_cfg), "--distances", "1",
-                      "--out", str(tmp_path / "sweep.csv")],
-            "ber": ["--q", "1"],
-        }[command]
-        assert main([command, *args, "--seed", seed]) == EXIT_USAGE
+    @pytest.mark.parametrize("command", ["ber"])
+    def test_seed_outside_64_bits_is_a_usage_error(self, capsys, command, seed):
+        assert main([command, "--q", "1", "--seed", seed]) == EXIT_USAGE
         assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["channel", "sweep"])
+    def test_the_config_alone_seeds_the_channel(self, tmp_path, demo_cfg, capsys, command):
+        # channel.seed is the one name for the noise seed of channel and sweep.
+        args = {
+            "channel": ["--in", str(tmp_path / "tx.bfrs"), "--out", str(tmp_path / "rx.bfrs")],
+            "sweep": ["--distances", "1,2,3", "--out", str(tmp_path / "sweep.csv")],
+        }[command]
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--config", str(demo_cfg), *args, "--seed", "5"])
+        assert exit_info.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value, message", [
         ("carrier.name", "plaid", "unknown carrier 'plaid'"),
@@ -280,22 +279,19 @@ class TestErrorPaths:
                      "--csv", str(tmp_path / "s.csv")])
         assert code == EXIT_SYNC
 
-    def test_areas_past_the_float_range_send_the_demo_capture(self, tmp_path, demo_cfg):
-        # The areas cancel out of the relative gain, so 1e308 m^2 each, whose
-        # product is no float, send the demo config's capture byte for byte.
-        huge = tmp_path / "huge.cfg"
-        huge.write_text(DEMO_CFG + "channel.display_area_m2 = 1e308\n"
-                                   "channel.aperture_area_m2 = 1e308\n")
-        tx = tmp_path / "tx.bfrs"
-        assert main(["encode", "--config", str(demo_cfg), "--payload-bits", PAYLOAD,
-                     "--out", str(tx)]) == EXIT_OK
-        captures = []
-        for cfg in (demo_cfg, huge):
-            rx = tmp_path / f"{cfg.stem}.bfrs"
-            assert main(["channel", "--config", str(cfg), "--in", str(tx),
-                         "--out", str(rx)]) == EXIT_OK
-            captures.append(rx.read_bytes())
-        assert captures[0] == captures[1]
+    @pytest.mark.parametrize("key, value", [("channel.display_area_m2", "0.11"),
+                                            ("channel.aperture_area_m2", "2e-5"),
+                                            ("channel.quantizer_bits", "25")])
+    def test_keys_that_no_capture_can_follow_are_usage_errors(self, tmp_path, capsys,
+                                                             key, value):
+        # The areas move no capture, and float32 cannot hold a 25-bit grid.
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(DEMO_CFG + f"{key} = {value}\n", encoding="utf-8")
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--config", str(cfg), "--distances", "1,2,3",
+                     "--out", str(out)]) == EXIT_USAGE
+        assert key.split(".")[1] in capsys.readouterr().err
+        assert not out.exists()
 
     def test_an_affine_past_the_float_range_fails_quietly(self, tmp_path, capsys):
         # Its determinant overflows, and rectifying through it pulls every pixel
@@ -375,6 +371,74 @@ class TestErrorPaths:
                      "--payload-bits", "10", "--payload", str(payload_file),
                      "--out", str(tmp_path / "x.bfrs")])
         assert code == EXIT_USAGE
+
+
+# A 16x12 noisy link that decodes; each case adds base lines, if any, to it.
+KEY_BASE_CFG = """
+modulation.symbol_duration_frames = 3
+channel.noise_sigma = 0.002
+carrier.width = 16
+carrier.height = 12
+"""
+
+# One value per config key, with the base lines that let the value show.
+KEY_CASES = [
+    ("modulation.m", "4", ""),
+    ("modulation.symbol_duration_frames", "4", ""),
+    ("modulation.depth", "0.05", ""),
+    ("modulation.channel", "green", ""),
+    ("modulation.frame_rate", "15", ""),
+    ("modulation.allow_visible_depth", "true", "modulation.depth = 0.2"),
+    ("channel.distance_m", "2", ""),
+    ("channel.phi_rad", "0.5", ""),
+    ("channel.theta_rad", "0.5", ""),
+    ("channel.noise_sigma", "0.01", ""),
+    ("channel.affine", "1 0 0.5  0 1 0.25  0 0 1", ""),
+    ("channel.camera_fps", "45", ""),
+    ("channel.quantizer_bits", "16", ""),
+    ("channel.seed", "3", ""),
+    ("carrier.name", "gray128", ""),
+    ("carrier.width", "20", ""),
+    ("carrier.height", "10", ""),
+    ("decoder.region", "2 2 12 8", ""),
+]
+
+
+def test_the_key_cases_cover_every_config_key():
+    tables = {"modulation.": config_module._MODULATION_KEYS,
+              "channel.": config_module._GEOMETRY_KEYS | config_module._CAPTURE_KEYS}
+    table_keys = {prefix + name for prefix, table in tables.items() for name in table}
+    # The run config's other fields are read from these keys.
+    assert [f.name for f in fields(RunConfig)] == ["modulation", "channel", "carrier_name",
+                                                   "carrier_width", "carrier_height", "region"]
+    other_keys = {"carrier.name", "carrier.width", "carrier.height", "decoder.region"}
+    assert sorted(key for key, _, _ in KEY_CASES) == sorted(table_keys | other_keys)
+
+
+@pytest.mark.parametrize("key, value, base", KEY_CASES)
+def test_every_config_key_changes_an_artifact(tmp_path, capsys, key, value, base):
+    # A key whose value moves no output byte and no exit code is a setting
+    # that does nothing.
+    def artifacts(text):
+        cfg, tx, rx = tmp_path / "link.cfg", tmp_path / "tx.bfrs", tmp_path / "rx.bfrs"
+        outputs = [tx, rx, tmp_path / "report.txt", tmp_path / "series.csv",
+                   tmp_path / "sweep.csv"]
+        for path in outputs:
+            path.unlink(missing_ok=True)
+        cfg.write_text(text, encoding="utf-8")
+        codes = [main(["encode", "--config", str(cfg), "--payload-bits", "1011",
+                       "--out", str(tx)]),
+                 main(["channel", "--config", str(cfg), "--in", str(tx), "--out", str(rx)]),
+                 main(["decode", "--config", str(cfg), "--in", str(rx),
+                       "--report", str(outputs[2]), "--csv", str(outputs[3])]),
+                 main(["sweep", "--config", str(cfg), "--distances", "1,1.5,2",
+                       "--out", str(outputs[4])])]
+        return codes, [path.read_bytes() if path.exists() else None for path in outputs]
+
+    text = KEY_BASE_CFG + base + "\n"
+    before, after = artifacts(text), artifacts(with_key(text, key, value))
+    assert after[0][0] == EXIT_OK  # the config takes the value
+    assert after != before
 
 
 class TestSweepCommand:

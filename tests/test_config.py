@@ -79,8 +79,6 @@ class TestBuildConfig:
         ("channel.distance_m", "2.5", "channel.geometry.distance_m", 2.5),
         ("channel.phi_rad", "0.25", "channel.geometry.phi_rad", 0.25),
         ("channel.theta_rad", "0.5", "channel.geometry.theta_rad", 0.5),
-        ("channel.display_area_m2", "0.2", "channel.geometry.display_area_m2", 0.2),
-        ("channel.aperture_area_m2", "1e-4", "channel.geometry.aperture_area_m2", 1e-4),
         ("channel.noise_sigma", "0.01", "channel.noise_sigma", 0.01),
         ("channel.affine", "1 0 2  0 1 3  0 0 1", "channel.affine",
          [[1, 0, 2], [0, 1, 3], [0, 0, 1]]),
@@ -171,6 +169,7 @@ class TestBuildConfig:
     def test_quantizer_bits(self):
         config = build_config({"channel.quantizer_bits": "16"})
         assert config.channel.quantizer_bits == 16
+        assert build_config({"channel.quantizer_bits": "24"}).channel.quantizer_bits == 24
         with pytest.raises(ConfigError, match="quantizer_bits"):
             build_config({"channel.quantizer_bits": "40"})
 

@@ -288,8 +288,8 @@ class TestQuantizeUnit:
         assert out.tolist() == [0.0, 1.0, 1.0]
 
     def test_rejects_bad_bit_depths(self):
-        for bits in (0, 31, -1):
-            with pytest.raises(ValueError, match="quantizer bits"):
+        for bits in (0, 25, 31, -1):
+            with pytest.raises(ValueError, match=r"quantizer bits must lie in \[1, 24\]"):
                 quantize_unit(np.zeros(1), bits)
 
     @staticmethod
@@ -315,7 +315,7 @@ class TestQuantizeUnit:
             self.around((np.arange(-1, levels + 1) + 0.5) / levels), bits)
 
     @settings(max_examples=300, deadline=None)
-    @given(data=st.data(), bits=st.integers(1, 30),
+    @given(data=st.data(), bits=st.integers(1, 24),
            dtype=st.sampled_from([np.float64, np.float32]))
     def test_matches_the_reference(self, data, bits, dtype):
         levels = (1 << bits) - 1
@@ -384,6 +384,17 @@ class TestRunTasks:
             time.sleep(0.005)  # a slow consumer lets the workers run ahead
             reach.append(max(taken) - head)
         assert max(reach) == 3
+
+    @pytest.mark.parametrize("ahead, queued", [(None, 5000), (1, 3)])
+    def test_tasks_handed_to_the_pool_before_the_first_result(self, monkeypatch,
+                                                             submissions, ahead, queued):
+        # Without ahead every task waits in the pool's queue before the first
+        # result; with ahead = 1 on 2 threads, the first and two more.
+        monkeypatch.setattr(core_module, "_CORES", 2)
+        results = run_tasks(range(5000), lambda: lambda task: task, ahead)
+        assert next(results) == 0
+        assert len(submissions) == queued
+        results.close()
 
     def test_a_worker_error_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(core_module, "_CORES", 2)
