@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
-from scipy.special import erfc
 
 from .channel import ChannelParams, normalized_gain, transmit_gains
 from .core import ModulationParams, as_bits, as_int, as_seed, run_tasks
@@ -15,11 +15,23 @@ from .encoder import encode_stream
 
 MC_MIN_SYMBOLS = 10_000
 _MC_CHUNK = 1 << 15
+_SQRT2 = Fraction(math.isqrt(2 << 200), 1 << 100)  # sqrt(2) to 100 bits
+
+
+def _q(x: float) -> float:
+    y = x / math.sqrt(2.0)
+    # First-order term for the part of x / sqrt(2) that rounding dropped,
+    # which erfc amplifies by about x**2 (1e-13 relative at x = 37).
+    dropped = float(Fraction(x) / _SQRT2 - Fraction(y)) if math.isfinite(y) else 0.0
+    return 0.5 * math.erfc(y) - dropped * math.exp(-y * y) / math.sqrt(math.pi)
+
+
+_q_array = np.vectorize(_q, otypes=[np.float64])
 
 
 def q_function(x) -> np.ndarray | float:
-    """Gaussian tail probability Q(x) = P(N(0,1) > x)."""
-    result = 0.5 * erfc(np.asarray(x, dtype=np.float64) / math.sqrt(2.0))
+    """Gaussian tail probability Q(x) = P(N(0,1) > x), from math.erfc."""
+    result = _q_array(np.asarray(x, dtype=np.float64))
     return float(result) if np.isscalar(x) or np.ndim(x) == 0 else result
 
 

@@ -260,8 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed a refusal (2) or --help (0)
+        return exc.code
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -323,7 +323,9 @@ def estimate_levels(series: SymbolSeries, sync: SyncResult,
 
     The preamble's central windows are the first rows of sync's one window
     table. The m per-symbol means are interpolated between the measured top
-    and bottom amplitudes; sigma pools the within-symbol sample deviations.
+    and bottom amplitudes; sigma pools the within-symbol sample deviations,
+    or, when every window holds one sample, the window means' deviations from
+    mu1 (even symbols) and mu0 (odd ones) over n_preamble - 2 degrees of freedom.
     Raises ValueError when series is not the trace sync was found in.
     """
     n_preamble = len(preamble_symbols(params))
@@ -339,7 +341,9 @@ def estimate_levels(series: SymbolSeries, sync: SyncResult,
         raise DegenerateLevelsError(f"top amplitude {mu1:.6g} does not exceed "
                                     f"bottom amplitude {mu0:.6g}")
     dof = pooled.size - n_preamble
-    sigma = float(np.sqrt(np.sum(pooled**2) / dof)) if dof > 0 else 0.0
+    if dof == 0:
+        pooled, dof = means - np.resize([mu1, mu0], n_preamble), n_preamble - 2
+    sigma = float(np.sqrt(np.sum(pooled**2) / dof))
     level_means = mu0 + (mu1 - mu0) * np.arange(params.m) / (params.m - 1)
     thresholds = (level_means[:-1] + level_means[1:]) / 2.0
     return LevelEstimate(mu0=mu0, mu1=mu1, sigma=sigma,

@@ -494,7 +494,9 @@ def estimate_levels_reference(series, sync, params):
     if not mu1 > mu0:
         raise DegenerateLevelsError("top amplitude does not exceed bottom amplitude")
     dof = pooled.size - n_preamble
-    sigma = float(np.sqrt(np.sum(pooled**2) / dof)) if dof > 0 else 0.0
+    if dof == 0:  # one sample per window: spread the means about their level
+        pooled, dof = means - np.resize([mu1, mu0], n_preamble), n_preamble - 2
+    sigma = float(np.sqrt(np.sum(pooled**2) / dof))
     level_means = mu0 + (mu1 - mu0) * np.arange(params.m) / (params.m - 1)
     thresholds = (level_means[:-1] + level_means[1:]) / 2.0
     return LevelEstimate(mu0=mu0, mu1=mu1, sigma=sigma,

@@ -49,6 +49,41 @@ class TestQFunction:
         assert values.shape == xs.shape
         assert (np.diff(values) < 0).all()
 
+    def test_matches_200_bit_erfc_to_1e_15(self):
+        # Q(37) is about 6e-300, just above the smallest normal float.
+        mpmath = pytest.importorskip("mpmath")
+        xs = np.linspace(0.0, 37.0, 3701)
+        with mpmath.workprec(200):
+            exact = [0.5 * mpmath.erfc(mpmath.mpf(x) / mpmath.sqrt(2)) for x in xs]
+
+            def worst(values):
+                return max(float(abs(mpmath.mpf(v) - e) / e) for v, e in zip(values, exact))
+
+            assert worst([q_function(float(x)) for x in xs]) <= 1e-15
+            assert worst(q_function(xs)) <= 1e-15
+            assert worst(q_function(xs.reshape(-1, 1)).ravel()) <= 1e-15
+
+    def test_reflection_holds_to_one_ulp(self):
+        xs = np.linspace(0.0, 37.0, 3701)
+        upper = 1.0 - q_function(xs)
+        assert (np.abs(q_function(-xs) - upper) <= np.spacing(upper)).all()
+        assert all(abs(q_function(-x) - (1.0 - q_function(x))) <= math.ulp(1.0 - q_function(x))
+                   for x in xs.tolist())
+
+    @pytest.mark.parametrize("x", [0.0, np.float64(1.5), np.array(1.5), 2])
+    def test_a_scalar_gives_a_float(self, x):
+        assert type(q_function(x)) is float
+
+    @pytest.mark.parametrize("shape", [(0,), (3,), (2, 3)])
+    def test_an_array_gives_float64_of_its_shape(self, shape):
+        values = q_function(np.ones(shape, dtype=np.float32))
+        assert values.shape == shape and values.dtype == np.float64
+
+    def test_infinities_and_nan(self):
+        assert q_function(math.inf) == 0.0
+        assert q_function(-math.inf) == 1.0
+        assert math.isnan(q_function(math.nan))
+
 
 class TestBerModel:
     def test_default_threshold_is_midpoint(self):

@@ -182,6 +182,34 @@ class TestLinkRoundTrip:
         assert parse_report(report)["crc_ok"] == "false"
 
 
+# 2 frames per symbol at 30 -> 30 fps: each central window holds one capture.
+ONE_SAMPLE_CFG = """
+modulation.m = 2
+modulation.symbol_duration_frames = 2
+channel.noise_sigma = 0.02
+channel.camera_fps = 30
+carrier.name = gradient
+carrier.width = 32
+carrier.height = 24
+"""
+
+
+def test_one_sample_windows_print_a_real_sigma_and_pe_theory(tmp_path, capsys):
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(ONE_SAMPLE_CFG, encoding="utf-8")
+    payload = "1010110011110000" * 4
+    code, _, _, report, _ = run_link(tmp_path, cfg, payload)
+    assert code == EXIT_OK
+    entries = parse_report(report)
+    assert entries["crc_ok"] == "true"
+    assert float(entries["sigma"]) > 0.0
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(cfg), "--distances", "1,1.5,2",
+                 "--payload-bits", payload, "--out", str(out)]) == EXIT_OK
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 3 and all(float(row[2]) > 0.0 for row in rows)
+
+
 class TestErrorPaths:
     def test_missing_config(self, tmp_path):
         code = main(["encode", "--config", str(tmp_path / "nope.cfg"),
@@ -229,10 +257,27 @@ class TestErrorPaths:
             "channel": ["--in", str(tmp_path / "tx.bfrs"), "--out", str(tmp_path / "rx.bfrs")],
             "sweep": ["--distances", "1,2,3", "--out", str(tmp_path / "sweep.csv")],
         }[command]
-        with pytest.raises(SystemExit) as exit_info:
-            main([command, "--config", str(demo_cfg), *args, "--seed", "5"])
-        assert exit_info.value.code == EXIT_USAGE
+        assert main([command, "--config", str(demo_cfg), *args, "--seed", "5"]) == EXIT_USAGE
         assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["channel", "--seed", "5"], "the following arguments are required: --config"),
+        (["decode", "--in", "rx.bfrs", "--report", "r.txt"],
+         "the following arguments are required: --config"),
+        (["ber", "--q", "1", "--symbols", "x"], "argument --symbols: invalid int value: 'x'"),
+        (["channel", "--config", "c", "--in", "i", "--out", "o", "--seed", "5"],
+         "unrecognized arguments: --seed 5"),
+        (["transmit"], "invalid choice: 'transmit'"),
+        ([], "the following arguments are required: command"),
+    ])
+    def test_an_argparse_refusal_is_returned_not_raised(self, capsys, argv, message):
+        assert main(argv) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["sweep", "-h"]])
+    def test_help_is_returned_as_success(self, capsys, argv):
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: brightlink")
 
     @pytest.mark.parametrize("key, value, message", [
         ("carrier.name", "plaid", "unknown carrier 'plaid'"),

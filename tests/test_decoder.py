@@ -619,6 +619,19 @@ class TestEstimateLevels:
         levels = estimate_levels(series, sync, OOK)
         assert levels.sigma == pytest.approx(0.01, rel=0.5)
 
+    @pytest.mark.parametrize("r", [1.0, 2.0])
+    def test_one_sample_windows_pool_the_means_about_their_level(self, r):
+        series = make_preamble_series(OOK, r=r, offset=3, noise=0.01, seed=4)
+        sync = SyncResult(offset=3, frames_per_symbol=r, n_samples=len(series))
+        start, stop = sync.windows_of(series)[:, :16]
+        assert (stop - start == 1).all()
+        levels = estimate_levels(series, sync, OOK)
+        samples = series.values[start]
+        assert levels.mu1 == samples[0::2].mean() and levels.mu0 == samples[1::2].mean()
+        deviations = np.concatenate([samples[0::2] - levels.mu1, samples[1::2] - levels.mu0])
+        assert levels.sigma == pytest.approx(math.sqrt(np.sum(deviations**2) / 14), rel=1e-12)
+        assert levels.sigma == pytest.approx(0.01, rel=0.5)
+
     def test_interpolates_intermediate_levels(self):
         qask = ModulationParams(m=4)
         series = make_preamble_series(qask, r=6.0, offset=0, high=0.9, low=0.3)
@@ -777,6 +790,26 @@ class TestDecodeFrames:
         assert report.crc_ok
         assert report.ber_vs_reference == 0.0
         assert report.levels.sigma > 0.0
+
+    @pytest.mark.parametrize("frames_per_symbol, noise", [(2, 0.02), (2, 0.005),
+                                                          (3, 0.02), (6, 0.005)])
+    def test_sigma_is_the_region_noise_at_every_window_width(self, frames_per_symbol,
+                                                             noise):
+        # At 30 -> 30 fps, 2 frames per symbol put one capture in each central
+        # window. The region mean of 32x24 8-bit pixels has noise
+        # sqrt(noise**2 + step**2 / 12) / sqrt(768), 7.23e-4 at noise 0.02.
+        payload = as_bits("1010110011110000" * 4)
+        params = ModulationParams(m=2, symbol_duration_frames=frames_per_symbol)
+        carrier = make_carrier("gradient", 32, 24, frames_needed(64, params))
+        sent = encode_stream(payload, carrier, params)
+        sigmas = []
+        for seed in range(40):
+            captured = transmit(sent, 30.0, ChannelParams(noise_sigma=noise, rng_seed=seed))
+            report = decode_frames(captured, params, 30.0, reference_payload=payload)
+            assert report.crc_ok and report.levels.sigma > 0.0
+            sigmas.append(report.levels.sigma)
+        expected = math.sqrt(noise**2 + (1 / 255) ** 2 / 12) / math.sqrt(32 * 24)
+        assert np.mean(sigmas) == pytest.approx(expected, rel=0.1)
 
     def test_unmodulated_carrier_fails_sync(self):
         frames = make_carrier("gray128", 16, 12, 200)
@@ -1024,7 +1057,10 @@ class TestWholeTraceReceiver:
             return
         pooled = np.concatenate([values[w] - mean for w, mean in zip(windows, means)])
         dof = pooled.size - 16
-        sigma = math.sqrt(np.sum(pooled**2) / dof) if dof > 0 else 0.0
+        if dof == 0:  # one sample per window: each mean about its level
+            pooled = np.array([mean - (mu0 if j % 2 else mu1) for j, mean in enumerate(means)])
+            dof = 14
+        sigma = math.sqrt(np.sum(pooled**2) / dof)
         levels = estimate_levels(series, sync, qask)
         assert levels.mu0 == pytest.approx(mu0, rel=0.0, abs=1e-12)
         assert levels.mu1 == pytest.approx(mu1, rel=0.0, abs=1e-12)
