@@ -39,7 +39,7 @@ class ChannelGeometry:
 
     def __post_init__(self) -> None:
         if not 0.0 < self.distance_m < math.inf:
-            raise ValueError(f"distance_m must be positive, got {self.distance_m}")
+            raise ValueError(f"distance_m must be positive and finite, got {self.distance_m}")
         for label, angle in (("phi_rad", self.phi_rad), ("theta_rad", self.theta_rad)):
             if not 0.0 <= angle < math.pi / 2:
                 raise ValueError(f"{label} must lie in [0, pi/2), got {angle}")

@@ -56,18 +56,24 @@ def _parse_numbers(raw: str, what: str) -> list[float]:
                           "comma-separated numbers") from None
 
 
+def _usage(check, *args, **kwargs):
+    """check(*args, **kwargs), whose ValueError refuses what the user gave: exit 2."""
+    try:
+        return check(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _load_payload_bits(bits_arg: str | None, file_arg: str | None,
                        default: str | None = None) -> np.ndarray:
     if bits_arg is not None and file_arg is not None:
         raise ConfigError("give either a bit string or a payload file, not both")
-    if bits_arg is not None:
-        return as_bits(bits_arg)
     if file_arg is not None:
         data = Path(file_arg).read_bytes()
         return np.unpackbits(np.frombuffer(data, dtype=np.uint8))
-    if default is not None:
-        return as_bits(default)
-    raise ConfigError("a payload is required (--payload-bits or --payload)")
+    if bits_arg is None and default is None:
+        raise ConfigError("a payload is required (--payload-bits or --payload)")
+    return _usage(as_bits, default if bits_arg is None else bits_arg)
 
 
 def _carrier_for(config: RunConfig, carrier_path: str | None,
@@ -76,18 +82,8 @@ def _carrier_for(config: RunConfig, carrier_path: str | None,
         frames, _ = read_bfrs(carrier_path)
         return frames
     n = frames_needed(payload_bits, config.modulation)
-    try:
-        return make_carrier(config.carrier_name, config.carrier_width,
-                            config.carrier_height, n)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _check_seed(seed: int) -> int:
-    try:
-        return as_seed(seed, "--seed")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return _usage(make_carrier, config.carrier_name, config.carrier_width,
+                  config.carrier_height, n)
 
 
 def cmd_encode(args) -> int:
@@ -160,13 +156,12 @@ def cmd_decode(args) -> int:
 def cmd_sweep(args) -> int:
     config = load_config(args.config)
     distances = _parse_numbers(args.distances, "distances")
-    if len(distances) < 3:
-        raise ConfigError(f"a sweep needs at least 3 distances, got {len(distances)}")
     payload = _load_payload_bits(args.payload_bits, args.payload,
                                  default=DEFAULT_SWEEP_PAYLOAD)
     carrier = _carrier_for(config, None, payload.size)
-    result = distance_sweep(distances, payload, carrier, config.modulation,
-                            config.channel, region=config.region)
+    # A distance's failure is its row's; what escapes refuses an argument.
+    result = _usage(distance_sweep, distances, payload, carrier, config.modulation,
+                    config.channel, region=config.region)
     lines = ["d_m,delta_mu,pe_theory,pe_measured,ci_halfwidth"]
     for row in result.rows:
         lines.append(f"{_fmt(row.distance_m)},{_fmt(row.delta_mu)},"
@@ -186,7 +181,7 @@ def cmd_ber(args) -> int:
         raise ConfigError("q values must be positive numbers")
     if args.symbols < MC_MIN_SYMBOLS:
         raise ConfigError(f"--symbols must be at least {MC_MIN_SYMBOLS}, got {args.symbols}")
-    _check_seed(args.seed)
+    _usage(as_seed, args.seed, "--seed")
     models = []
     for q in q_points:
         # Unit swing with sigma = 1/(2q) puts the decision margin exactly at q.

@@ -174,8 +174,6 @@ def bits_to_symbols(bits, params: ModulationParams) -> np.ndarray:
     remainder = arr.size % k
     if remainder:
         arr = np.concatenate([arr, np.zeros(k - remainder, dtype=np.uint8)])
-    if arr.size == 0:
-        return np.zeros(0, dtype=np.int64)
     groups = arr.reshape(-1, k).astype(np.int64)
     weights = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
     return groups @ weights

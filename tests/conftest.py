@@ -44,17 +44,26 @@ def submissions(monkeypatch):
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
-    lines = getattr(config, "acceptance_lines", None)
-    if lines:
-        terminalreporter.section("acceptance criteria")
+    for title, lines in getattr(config, "summary_sections", {}).items():
+        terminalreporter.section(title)
         for line in lines:
             terminalreporter.write_line(line)
+
+
+def summary_log(config, title):
+    """A collector for the lines of the terminal summary's section `title`."""
+    if not hasattr(config, "summary_sections"):
+        config.summary_sections = {}
+    return config.summary_sections.setdefault(title, []).append
 
 
 @pytest.fixture(scope="session")
 def acceptance_log(request):
     """Collector for the per-criterion PASS/FAIL lines shown after the run."""
-    config = request.config
-    if not hasattr(config, "acceptance_lines"):
-        config.acceptance_lines = []
-    return config.acceptance_lines.append
+    return summary_log(request.config, "acceptance criteria")
+
+
+@pytest.fixture(scope="session")
+def envelope_log(request):
+    """Collector for the per-cell failure counts of tests/test_envelope.py."""
+    return summary_log(request.config, "capability envelope")

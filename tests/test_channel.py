@@ -57,6 +57,12 @@ class TestGeometry:
         with pytest.raises(ValueError, match="theta_rad"):
             ChannelGeometry(theta_rad=-0.1)
 
+    @pytest.mark.parametrize("distance", [0.0, -1.0, math.inf, math.nan])
+    def test_a_distance_that_is_not_positive_and_finite_is_refused(self, distance):
+        with pytest.raises(ValueError, match=r"^distance_m must be positive and finite, "
+                                             rf"got {distance}$"):
+            ChannelGeometry(distance_m=distance)
+
     def test_the_geometry_holds_only_what_moves_a_capture(self):
         assert [f.name for f in fields(ChannelGeometry)] == ["distance_m", "phi_rad",
                                                              "theta_rad"]

@@ -181,6 +181,20 @@ class TestLinkRoundTrip:
         assert code == EXIT_INTEGRITY
         assert parse_report(report)["crc_ok"] == "false"
 
+    def test_a_crc_failure_against_a_reference_is_still_an_integrity_error(self, tmp_path,
+                                                                          demo_cfg, capsys):
+        # The reference bits pass through the usage converter; the CRC failure
+        # that follows must keep its own exit code, not become a usage error.
+        _, _, rx, report, _ = run_link(tmp_path, demo_cfg)
+        frames, fps = read_bfrs(rx)
+        frames[300:306, :, :, 0] = 0
+        write_bfrs(rx, frames, fps)
+        capsys.readouterr()
+        code = main(["decode", "--config", str(demo_cfg), "--in", str(rx),
+                     "--report", str(report), "--reference-bits", PAYLOAD])
+        assert code == EXIT_INTEGRITY
+        assert capsys.readouterr().err == "error: CRC check failed; payload is unreliable\n"
+
 
 # 2 frames per symbol at 30 -> 30 fps: each central window holds one capture.
 ONE_SAMPLE_CFG = """
@@ -409,6 +423,19 @@ class TestErrorPaths:
                                            "(--payload-bits or --payload)\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, args", [
+        ("encode", ["--payload-bits", "012", "--out", "{tmp}/out"]),
+        ("decode", ["--in", "{tmp}/rx.bfrs", "--reference-bits", "2", "--report", "{tmp}/out"]),
+        ("sweep", ["--distances", "1,2,3", "--payload-bits", "21", "--out", "{tmp}/out"]),
+    ])
+    def test_a_malformed_bit_string_is_a_usage_error(self, tmp_path, demo_cfg, capsys,
+                                                     command, args):
+        write_bfrs(tmp_path / "rx.bfrs", make_carrier("gray128", 8, 6, 4), 30)
+        args = [arg.format(tmp=tmp_path) for arg in args]
+        assert main([command, "--config", str(demo_cfg), *args]) == EXIT_USAGE
+        assert "bit string may contain only 0 and 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_payload_sources_are_exclusive(self, tmp_path, demo_cfg):
         payload_file = tmp_path / "p.bin"
         payload_file.write_bytes(b"\x01")
@@ -527,6 +554,25 @@ carrier.height = 32
         assert code == EXIT_USAGE
         assert f"a sweep needs at least 3 distances, got {count}" in capsys.readouterr().err
         assert not out.exists()
+
+
+    def test_a_camera_too_slow_for_the_symbols_fails_every_row_not_the_sweep(self,
+                                                                            tmp_path,
+                                                                            capsys):
+        # 8 fps is under twice the 5 symbols/s: the pipeline refuses each
+        # distance, which the sweep records per row; it is not a usage error.
+        cfg = tmp_path / "slow.cfg"
+        cfg.write_text(with_key(with_key(with_key(DEMO_CFG, "channel.camera_fps", "8"),
+                                         "carrier.width", "16"), "carrier.height", "12"),
+                       encoding="utf-8")
+        out = tmp_path / "s.csv"
+        assert main(["sweep", "--config", str(cfg), "--distances", "1,2,3",
+                     "--out", str(out)]) == EXIT_OK
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 3 and all(row[1:] == ["nan"] * 4 for row in rows)
+        captured = capsys.readouterr()
+        assert captured.err.count("failed") == 3
+        assert captured.out == "slope = nan\n"
 
 
 class TestBerCommand:
